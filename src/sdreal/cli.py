@@ -174,11 +174,25 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_at(argv):
+    # argparse takes a value such as -1/3 for an option; the documented
+    # --at=-1/3 form keeps it a value
+    joined = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and joined and joined[-1] == "--at":
+            joined[-1] = "--at=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_negative_at(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -9,7 +9,9 @@ occur (productivity), which `check_productive` verifies in bounded form.
 Trees are values: the node behind a CTree is computed on first demand and
 cached, and builders share subtrees freely, so what unfolds at runtime is
 a DAG.  That cache is the memoization the whole package leans on —
-repeating an evaluation expands nothing new.
+repeating an evaluation expands nothing new.  Composition shares too:
+each (f-position, inner trees) state owns one tree object, so paths that
+meet in a state expand it once.
 """
 
 from .errors import DomainError
@@ -167,8 +169,12 @@ def feed_digit(t, i, d):
     """
     if not 1 <= i <= t.arity:
         raise DomainError(f"input index {i} out of range 1..{t.arity}")
-    d = SignedDigit(d)
-    stats = ExpansionStats(parents=(t.stats,))
+    return _feed(t, i, SignedDigit(d), ExpansionStats(parents=(t.stats,)))
+
+
+def _feed(t, i, d, stats):
+    # feed_digit without the checks; its expansions are counted in `stats`,
+    # which compose passes so that its own stats cover the fed trees
     arity = t.arity
 
     def fed(sub):
@@ -185,13 +191,64 @@ def feed_digit(t, i, d):
     return fed(t)
 
 
+class _CompTree(CTree):
+    """One state (fpos, cur) of a composition: fpos is the tree at the
+    current position in f, cur the tuple of current inner trees.
+
+    arity, stats and memo live on a per-composition subclass (see compose);
+    memo maps each state reached so far to its one tree object, keyed on
+    object identity, so paths that meet in a state share its expansion.
+    """
+
+    # not named `state`: integrate's mirror shortcut reads that slot as
+    # a _QuadTree state
+    __slots__ = ("_cstate",)
+
+    def __init__(self, state):
+        self._node = None
+        self._thunk = None
+        self._cstate = state
+
+    @classmethod
+    def _at(cls, state):
+        t = cls.memo.get(state)
+        if t is None:
+            t = cls.memo[state] = cls(state)
+        return t
+
+    def _expand(self):
+        cls = self.__class__
+        fpos, cur = self._cstate
+        while True:
+            node = fpos.root
+            if isinstance(node, WriteNode):
+                return WriteNode(node.digit, cls._at((node.next, cur)))
+            i = node.index - 1
+            gnode = cur[i].root
+            if isinstance(gnode, WriteNode):
+                fpos = node.branches[int(gnode.digit) + 1]
+                cur = cur[:i] + (gnode.next,) + cur[i + 1 :]
+                continue
+            j = gnode.index
+            branches = []
+            for e in DIGITS:
+                new = tuple(
+                    gnode.branch(e) if k == i else _feed(g, j, e, cls.stats)
+                    for k, g in enumerate(cur)
+                )
+                branches.append(cls._at((fpos, new)))
+            return ReadNode(j, tuple(branches))
+
+
 def compose(f, gs):
     """The tree realizing f(g_1,...,g_n); all g_i share one arity m.
 
     Coiteration over (position in f, current gs): f-writes are emitted;
     an f-read of input i inspects g_i — a g_i-write resolves the read
     immediately, a g_i-read is emitted, with every other g_k pre-composed
-    with the digit just consumed (feed_digit).
+    with the digit just consumed (feed_digit).  Each state owns exactly
+    one tree object, so the composed tree unfolds as a DAG and a state
+    reached along several paths is expanded once.
     """
     gs = tuple(gs)
     if len(gs) != f.arity:
@@ -201,35 +258,14 @@ def compose(f, gs):
     m = gs[0].arity
     if any(g.arity != m for g in gs):
         raise DomainError("inner trees must share one arity")
-    stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
 
-    def comp(fpos, cur):
-        return CTree(lambda: expand(fpos, cur), m, stats)
+    class composition(_CompTree):
+        __slots__ = ()
+        arity = m
+        stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
+        memo = {}
 
-    def expand(fpos, cur):
-        node = fpos.root if isinstance(fpos, CTree) else fpos
-        while True:
-            if isinstance(node, WriteNode):
-                return WriteNode(node.digit, comp(node.next, cur))
-            i = node.index - 1
-            gnode = cur[i].root
-            if isinstance(gnode, WriteNode):
-                nxt = node.branches[int(gnode.digit) + 1]
-                cur = cur[:i] + (gnode.next,) + cur[i + 1 :]
-                node = nxt.root
-            else:
-                j = gnode.index
-
-                def mk(e, node=node, cur=cur, i=i, gnode=gnode, j=j):
-                    new = tuple(
-                        gnode.branch(e) if k == i else feed_digit(g, j, e)
-                        for k, g in enumerate(cur)
-                    )
-                    return comp(node, new)
-
-                return ReadNode(j, tuple(mk(e) for e in DIGITS))
-
-    return comp(f, gs)
+    return composition._at((f, gs))
 
 
 def modulus(t, k):

@@ -60,6 +60,21 @@ def test_digits_max_count():
     assert within(sigma_approx(from_digits(digits), 10000), Rat(-11, 27), 10000)
 
 
+def test_negative_at_as_separate_argument():
+    # logistic(3/2) at -1/3 is 3/2 * 8/9 - 1 = 1/3
+    code, out = run("eval", "logistic(3/2)", "--at", "-1/3", "--prec", "20")
+    assert code == 0
+    assert within(parse_rat(out.strip()), Rat(1, 3), 20)
+    assert run("eval", "logistic(3/2)", "--at=-1/3", "--prec", "20") == (0, out)
+    code, out = run("digits", "logistic(3/2)", "--at", "-1/3", "--count", "20")
+    assert code == 0
+    digits = digits_from_str(out.strip())
+    assert within(sigma_approx(from_digits(digits), 20), Rat(1, 3), 20)
+    code, out = run("bench", "logistic(3/2)", "--at", "-1/3", "--prec", "20")
+    assert code == 0
+    assert out.count("-> 349525/1048576") == 2
+
+
 def test_tree_ascii_and_dot():
     code, out = run("tree", "quad(-2/3,0,-1/3)", "--depth", "2")
     assert code == 0

@@ -1,8 +1,14 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdreal.ctree import (
+    CTree,
+    ExpansionStats,
+    ReadNode,
+    WriteNode,
     apply,
     as_stream,
     check_productive,
@@ -27,6 +33,7 @@ from sdreal.errors import DomainError
 from sdreal.oracle import Lin, Logistic, Quad, eval_exact
 from sdreal.rationals import Rat
 from sdreal.sdstream import (
+    DIGITS,
     N,
     P,
     Z,
@@ -184,6 +191,137 @@ def test_compose_binary_outer():
     for q in GRID:
         want = eval_exact(eg1, q) / 2 + eval_exact(eg2, q) / 4
         assert within(eval_at(t, q, 20), want, 20)
+
+
+def compose_unshared(f, gs):
+    # reference rule without sharing: a fresh CTree per visit to a state,
+    # so the result unfolds as a tree; compose must equal it node for node
+    gs = tuple(gs)
+    m = gs[0].arity
+    stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
+
+    def comp(fpos, cur):
+        return CTree(lambda: expand(fpos, cur), m, stats)
+
+    def expand(fpos, cur):
+        node = fpos.root if isinstance(fpos, CTree) else fpos
+        while True:
+            if isinstance(node, WriteNode):
+                return WriteNode(node.digit, comp(node.next, cur))
+            i = node.index - 1
+            gnode = cur[i].root
+            if isinstance(gnode, WriteNode):
+                nxt = node.branches[int(gnode.digit) + 1]
+                cur = cur[:i] + (gnode.next,) + cur[i + 1 :]
+                node = nxt.root
+            else:
+                j = gnode.index
+
+                def mk(e, node=node, cur=cur, i=i, gnode=gnode, j=j):
+                    new = tuple(
+                        gnode.branch(e) if k == i else feed_digit(g, j, e)
+                        for k, g in enumerate(cur)
+                    )
+                    return comp(node, new)
+
+                return ReadNode(j, tuple(mk(e) for e in DIGITS))
+
+    return comp(f, gs)
+
+
+def same_nodes(a, b, depth):
+    """a and b agree on every node of their first `depth` levels."""
+    if depth == 0:
+        return True
+    x, y = a.root, b.root
+    if isinstance(x, WriteNode):
+        return (
+            isinstance(y, WriteNode)
+            and x.digit == y.digit
+            and same_nodes(x.next, y.next, depth - 1)
+        )
+    return (
+        isinstance(y, ReadNode)
+        and x.index == y.index
+        and all(
+            same_nodes(p, q, depth - 1) for p, q in zip(x.branches, y.branches)
+        )
+    )
+
+
+@st.composite
+def l1_ball(draw, n):
+    """n multiples of 1/8 whose absolute values sum to at most 1."""
+    left, out = 8, []
+    for _ in range(n):
+        k = draw(st.integers(-left, left))
+        left -= abs(k)
+        out.append(Rat(k, 8))
+    return out
+
+
+def lin_unary():
+    return l1_ball(2).map(lambda c: lin_tree(c[:1], c[1]))
+
+
+def quad_unary():
+    # |u| + |v| + |w| <= 1 keeps u x^2 + v x + w inside [-1,1]
+    return l1_ball(3).map(lambda c: quad_tree(*c))
+
+
+def logistic_unary():
+    return st.integers(0, 16).map(lambda i: logistic_tree(Rat(i, 8)))
+
+
+unary_trees = st.one_of(lin_unary(), quad_unary(), logistic_unary())
+
+
+@settings(max_examples=30, deadline=None)
+@given(unary_trees, unary_trees, unary_trees)
+def test_compose_matches_unshared_rule(f, g, h):
+    shared = compose(f, (g,))
+    assert same_nodes(shared, compose_unshared(f, (g,)), 9)
+    nested = compose(shared, (h,))
+    reference = compose_unshared(compose_unshared(f, (g,)), (h,))
+    assert same_nodes(nested, reference, 9)
+
+
+binary_lins = l1_ball(3).map(lambda c: lin_tree(c[:2], c[2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    binary_lins,
+    st.tuples(unary_trees, unary_trees) | st.tuples(binary_lins, binary_lins),
+)
+def test_compose_binary_outer_matches_unshared_rule(f, gs):
+    assert same_nodes(compose(f, gs), compose_unshared(f, gs), 8)
+
+
+def test_compose_shares_states():
+    # modulus sweeps every branch, so states met along several paths show
+    # up as repeated work; 50,036 expansions when each visit got a tree
+    t = compose(logistic_tree(Rat(19133, 10007)), (lin_tree([Rat(1, 2)], 0),))
+    assert modulus(t, 8) == 10
+    assert expansion_count(t) <= 12_000
+
+
+def test_expansion_count_nary_compose(monkeypatch):
+    # the feed_digit trees compose makes for a binary outer tree count too
+    expansions = [0]
+    plain = CTree.root
+
+    def counted(self):
+        if not self.expanded:
+            expansions[0] += 1
+        return plain.fget(self)
+
+    monkeypatch.setattr(CTree, "root", property(counted))
+    f = lin_tree([Rat(1, 2), Rat(1, 2)], 0)
+    gs = (lin_tree([Rat(1, 3)], Rat(1, 5)), lin_tree([Rat(-2, 5)], Rat(1, 7)))
+    t = compose(f, gs)
+    eval_at(t, Rat(7, 10), 30)
+    assert expansion_count(t) == expansions[0] > 0
 
 
 def test_apply_binary():

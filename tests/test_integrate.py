@@ -4,7 +4,7 @@ from sdreal.ctree import constant_tree
 from sdreal.digitsys import lin_tree, logistic_tree
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.integrate import integral
-from sdreal.oracle import Lin, Logistic, Quad, integral_exact
+from sdreal.oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
 from sdreal.exprdsl import to_tree
 from sdreal.rationals import Rat
 from sdreal.sdstream import Z
@@ -50,6 +50,23 @@ def test_error_bound_vs_oracle(expr):
     t = to_tree_of(expr)
     want = integral_exact(expr)
     for k in range(1, 17):
+        res = integral(t, k)
+        assert abs(res.value - want) <= Rat(2, 2**k)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Comp(Lin(Rat(1, 2), 0), Logistic(Rat(3, 2))),
+        Pow(Logistic(Rat(2)), 2),
+    ],
+)
+def test_error_bound_vs_oracle_composed(expr):
+    # composed trees fold both branches of every read (no mirror
+    # shortcut), so the node count doubles per k; k = 12 keeps this short
+    t = to_tree_of(expr)
+    want = integral_exact(expr)
+    for k in range(1, 13):
         res = integral(t, k)
         assert abs(res.value - want) <= Rat(2, 2**k)
 
