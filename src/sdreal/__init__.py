@@ -12,6 +12,7 @@ from .ctree import (
     check_productive,
     compose,
     constant_tree,
+    digits_at,
     eval_at,
     expansion_count,
     feed_digit,

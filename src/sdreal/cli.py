@@ -5,20 +5,20 @@ rational output is exact ``p/q`` in lowest terms; ``--decimal`` adds a
 correctly rounded decimal rendering, always annotated with the error
 bound — never a silent approximation.
 
-Exit codes: 0 success, 2 parse/domain error, 3 internal resource limit.
+Exit codes: 0 success, 2 parse/domain error, 3 resource limit.
 """
 
 import argparse
 import sys
 import time
 
-from .ctree import eval_at, expansion_count, render_ascii, render_dot
+from .ctree import digits_at, eval_at, expansion_count
+from .ctree import render_ascii, render_dot
 from .errors import DomainError, ParseError, ResourceLimitError
 from .exprdsl import parse, to_tree
 from .integrate import integral
 from .rationals import decimal_str, parse_rat, rat_str
-from .sdstream import cauchy_to_stream, const_seq, digits_str
-from . import ctree as _ctree
+from .sdstream import digits_str
 
 
 def _positive(limit=10000):
@@ -96,8 +96,7 @@ def _cmd_eval(args, out):
 
 def _cmd_digits(args, out):
     t = _compile(args)
-    stream = _ctree.apply(t, (cauchy_to_stream(const_seq(parse_rat(args.at))),))
-    print(digits_str(stream.take(args.count)), file=out)
+    print(digits_str(digits_at(t, parse_rat(args.at), args.count)), file=out)
 
 
 def _cmd_integrate(args, out):
@@ -202,6 +201,11 @@ def main(argv=None, out=None):
         return 2
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # a tree walk takes stack frames per composed layer
+        print("resource limit: composition depth exceeds the recursion "
+              f"limit ({sys.getrecursionlimit()} frames)", file=sys.stderr)
         return 3
     return 0
 

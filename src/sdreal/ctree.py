@@ -14,8 +14,10 @@ each (f-position, inner trees) state owns one tree object, so paths that
 meet in a state expand it once.
 """
 
+import gc
+from contextlib import contextmanager
+
 from .errors import DomainError
-from .rationals import Rat
 from .sdstream import (
     DIGITS,
     DigitStream,
@@ -108,6 +110,20 @@ class CTree:
         return self._node is not None
 
 
+@contextmanager
+def collector_paused():
+    """Disable the (process-wide) cyclic garbage collector for the block;
+    on any exit, re-enable it only if it was enabled on entry.  Expanded
+    nodes stay cached: collecting mid-expansion rescans them, frees nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def expansion_count(t):
     """Total node expansions attributable to this tree so far."""
     return t.stats.total()
@@ -150,14 +166,23 @@ def as_stream(t):
     return apply(t, ())
 
 
+def _at_point(t, q):
+    seq = const_seq(q)
+    if t.arity != 1:
+        raise DomainError("evaluation at a point needs a unary tree")
+    return apply(t, (cauchy_to_stream(seq),))
+
+
 def eval_at(t, q, n):
     """Approximate the realized unary function at rational q to 2^-n."""
-    q = Rat(q)
-    if abs(q) > 1:
-        raise DomainError(f"{q} lies outside [-1,1]")
-    if t.arity != 1:
-        raise DomainError("eval_at needs a unary tree")
-    return sigma_approx(apply(t, (cauchy_to_stream(const_seq(q)),)), n)
+    with collector_paused():
+        return sigma_approx(_at_point(t, q), n)
+
+
+def digits_at(t, q, count):
+    """The first `count` output digits of unary t at rational q."""
+    with collector_paused():
+        return _at_point(t, q).take(count)
 
 
 def feed_digit(t, i, d):
@@ -274,25 +299,27 @@ def modulus(t, k):
     Inputs agreeing on that many digits give outputs agreeing on k digits.
     Memoized per (node, remaining writes) to keep shared subtrees cheap.
     """
-    if t.arity != 1:
-        raise DomainError("modulus is defined for unary trees")
-    memo = {}
+    if t.arity != 1 or k < 0:
+        raise DomainError("modulus is defined for unary trees and k >= 0")
+    # per-k dicts keyed by id: int keys, unlike tuples, are not gc-tracked
+    memo = [{} for _ in range(k + 1)]
 
     def go(node, k):
         if k == 0:
             return 0
-        key = (id(node), k)
-        got = memo.get(key)
+        seen = memo[k]
+        got = seen.get(id(node))
         if got is not None:
             return got
         if isinstance(node, WriteNode):
             res = go(node.next.root, k - 1)
         else:
             res = 1 + max(go(b.root, k) for b in node.branches)
-        memo[key] = res
+        seen[id(node)] = res
         return res
 
-    return go(t.root, k)
+    with collector_paused():
+        return go(t.root, k)
 
 
 def check_productive(t, k_writes, max_reads):
@@ -319,7 +346,8 @@ def check_productive(t, k_writes, max_reads):
         memo[key] = res
         return res
 
-    return go(t.root, k_writes, max_reads)
+    with collector_paused():
+        return go(t.root, k_writes, max_reads)
 
 
 def _read_label(node, arity):

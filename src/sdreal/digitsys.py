@@ -14,7 +14,7 @@ uniform-continuity modulus.
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import Callable
 
 from .ctree import CTree, ExpansionStats, ReadNode, WriteNode, compose
 from .errors import DomainError
@@ -38,29 +38,24 @@ class ReadStep:
 
 @dataclass(frozen=True)
 class DigitalSystem:
-    """step decides write-or-read per state; measure (optional) is a
-    diagnostic wellfoundedness witness, not consulted by the builder."""
+    """step decides write-or-read per state."""
 
     arity: int
     step: Callable
-    measure: Optional[Callable] = None
-    share_states: bool = True
 
 
 def build_tree(sys, start):
     """Unfold a digital system from `start` into a lazy tree.
 
-    With state sharing on (and hashable states), each distinct state owns
-    exactly one tree object, cached after its first expansion.
+    With hashable states, each distinct state owns exactly one tree
+    object, cached after its first expansion; else each visit gets one.
     """
     stats = ExpansionStats()
-    share = sys.share_states
-    if share:
-        try:
-            hash(start)
-        except TypeError:
-            share = False
-    memo = {} if share else None
+    try:
+        hash(start)
+        memo = {}
+    except TypeError:
+        memo = None
 
     def tree_for(state):
         if memo is not None:
@@ -123,16 +118,7 @@ def lin_tree(u, v):
             tuple((half, sv + ui * int(d) / 2) for d in DIGITS),
         )
 
-    def measure(state):
-        su, sv = state
-        s1 = _norm1(su)
-        k = 0
-        while s1 > _QUARTER and k < 64:
-            s1 = s1 * (2 * n - 1) / (2 * n)
-            k += 1
-        return k
-
-    return build_tree(DigitalSystem(n, step, measure), (u, v))
+    return build_tree(DigitalSystem(n, step), (u, v))
 
 
 def quad_range(u, v, w):

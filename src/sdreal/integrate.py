@@ -8,15 +8,14 @@ and x -> (x+1)/2, not a trisection.  Precision k costs an error of at
 most 2^(1-k); k = 0 returns 0 with bound 2.
 
 The fold carries dyadic values as (numerator, 2-exponent) integer pairs
-and walks write chains iteratively; garbage collection is paused for the
-duration since the fold allocates millions of short-lived nodes that can
-never be part of a cycle.
+and walks write chains iteratively.  Every node it expands stays alive in
+its family's memo, in class-memo-node cycles, so it runs under
+ctree.collector_paused: a collection would rescan them all and free nothing.
 """
 
-import gc
 from dataclasses import dataclass
 
-from .ctree import WriteNode
+from .ctree import WriteNode, collector_paused
 from .errors import DomainError, ResourceLimitError
 from .rationals import Rat
 
@@ -102,16 +101,8 @@ def integral(t, k, max_nodes=None):
             return (acc << (p + 1)) + num, p + m
         return num, p
 
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        if k == 0:
-            value = Rat(0)
-        else:
+    num, p = 0, 0
+    if k:
+        with collector_paused():
             num, p = fold(t, k)
-            value = Rat(num, 1 << p)
-    finally:
-        if was_enabled:
-            gc.enable()
-    return IntegralResult(value, Rat(2, 2**k), limit - budget)
+    return IntegralResult(Rat(num, 1 << p), Rat(2, 2**k), limit - budget)

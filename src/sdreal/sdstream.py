@@ -29,11 +29,6 @@ DIGITS = (N, Z, P)
 _QUARTER = Rat(1, 4)
 
 
-def in_interval(x, d):
-    """Membership in I_d = [d/2 - 1/2, d/2 + 1/2]."""
-    return abs(2 * x - int(d)) <= 1
-
-
 class DigitStream:
     """Infinite signed-digit stream with a cached, lazily forced tail.
 
@@ -106,7 +101,6 @@ def cycle(digits):
     for d in reversed(digits):
         nxt = DigitStream(d, nxt if nxt is not None else (lambda: first))
         first = nxt
-    # patch the last cell's deferred tail to close the loop
     return first
 
 
@@ -169,8 +163,3 @@ def cauchy_to_stream(f):
         return DigitStream(d, lambda: step(k + 1, 2 * t + int(d)))
 
     return step(0, 0)
-
-
-def stream_to_cauchy(s):
-    """The fast Cauchy sequence n -> sigma_approx(s, n)."""
-    return lambda n: sigma_approx(s, n)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sdreal.ctree import ReadNode, WriteNode
 from sdreal.rationals import Rat
 
 # rationals exercised by most semantic-agreement checks
@@ -30,3 +31,23 @@ def to_rat(f: Fraction):
 def within(a, b, n):
     """|a - b| <= 2^-n for exact rationals."""
     return abs(a - b) * 2**n <= 1
+
+
+def same_nodes(a, b, depth):
+    """a and b agree on every node of their first `depth` levels."""
+    if depth == 0:
+        return True
+    x, y = a.root, b.root
+    if isinstance(x, WriteNode):
+        return (
+            isinstance(y, WriteNode)
+            and x.digit == y.digit
+            and same_nodes(x.next, y.next, depth - 1)
+        )
+    return (
+        isinstance(y, ReadNode)
+        and x.index == y.index
+        and all(
+            same_nodes(p, q, depth - 1) for p, q in zip(x.branches, y.branches)
+        )
+    )

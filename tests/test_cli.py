@@ -1,4 +1,7 @@
+import gc
 import io
+
+import pytest
 
 from sdreal.cli import float_iterate, main
 from sdreal.rationals import Rat, parse_rat
@@ -124,6 +127,25 @@ def test_resource_limit_exit_code():
         "integrate", "logistic(2)", "--prec", "16", "--max-nodes", "10"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--at", "7/10", "--prec", "10"),
+        ("integrate", "--prec", "8"),
+        ("tree", "--depth", "3"),
+    ],
+)
+def test_deep_composition_is_a_resource_limit(argv, capsys):
+    # each composed layer costs stack frames: 600 of them exceed the
+    # default recursion limit, which must end in exit 3, not a traceback
+    code, out = run(argv[0], "pow(logistic(2),600)", *argv[1:])
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: composition depth")
+    assert "Traceback" not in err
+    assert gc.isenabled()
 
 
 def test_float_demo():

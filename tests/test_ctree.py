@@ -1,3 +1,4 @@
+import gc
 import threading
 
 import pytest
@@ -12,8 +13,10 @@ from sdreal.ctree import (
     apply,
     as_stream,
     check_productive,
+    collector_paused,
     compose,
     constant_tree,
+    digits_at,
     eval_at,
     expansion_count,
     feed_digit,
@@ -30,6 +33,8 @@ from sdreal.digitsys import (
     quad_tree,
 )
 from sdreal.errors import DomainError
+from sdreal.exprdsl import parse, to_tree
+from sdreal.integrate import integral
 from sdreal.oracle import Lin, Logistic, Quad, eval_exact
 from sdreal.rationals import Rat
 from sdreal.sdstream import (
@@ -44,7 +49,7 @@ from sdreal.sdstream import (
     from_digits,
 )
 
-from conftest import GRID, within
+from conftest import GRID, same_nodes, within
 
 
 def fig1_tree():
@@ -229,26 +234,6 @@ def compose_unshared(f, gs):
     return comp(f, gs)
 
 
-def same_nodes(a, b, depth):
-    """a and b agree on every node of their first `depth` levels."""
-    if depth == 0:
-        return True
-    x, y = a.root, b.root
-    if isinstance(x, WriteNode):
-        return (
-            isinstance(y, WriteNode)
-            and x.digit == y.digit
-            and same_nodes(x.next, y.next, depth - 1)
-        )
-    return (
-        isinstance(y, ReadNode)
-        and x.index == y.index
-        and all(
-            same_nodes(p, q, depth - 1) for p, q in zip(x.branches, y.branches)
-        )
-    )
-
-
 @st.composite
 def l1_ball(draw, n):
     """n multiples of 1/8 whose absolute values sum to at most 1."""
@@ -342,6 +327,8 @@ def test_modulus_constant():
 def test_modulus_examples():
     assert modulus(lin_tree([Rat(1, 2)], 0), 1) == 1
     assert modulus(lin_tree([Rat(1, 4)], Rat(1, 5)), 1) == 0
+    with pytest.raises(DomainError):
+        modulus(lin_tree([Rat(1, 2)], 0), -1)
 
 
 def test_modulus_soundness_sampled():
@@ -413,3 +400,96 @@ def test_concurrent_expansion_idempotent():
     for th in threads:
         th.join()
     assert len(set(results)) == 1
+
+
+@pytest.fixture
+def collector_on():
+    # the pause tests need the collector running; leave it as found
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+def collections_during(fn, *args):
+    """How many collections start while fn(*args) runs."""
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(on_gc)
+    return len(starts)
+
+
+def test_eval_at_pauses_collector(collector_on):
+    # 133 collections when the memo caches were rescanned mid-evaluation
+    t = to_tree(parse("pow(logistic(2),40)"))
+    assert collections_during(eval_at, t, Rat(7, 10), 60) <= 1
+
+
+def test_modulus_pauses_collector(collector_on):
+    # 69 collections without the pause
+    t = compose(logistic_tree(Rat(19, 10)), (lin_tree([Rat(1, 2)], 0),))
+    assert collections_during(modulus, t, 8) <= 1
+
+
+def raises_when_expanded():
+    def step(s):
+        if s == 3:
+            raise DomainError("state 3 has no step")
+        return ReadStep(1, (s + 1,) * 3)
+
+    return build_tree(DigitalSystem(1, step), 0)
+
+
+def test_collector_restored_after_return_and_errors(collector_on):
+    assert within(eval_at(logistic_tree(2), Rat(7, 10), 20), Rat(1, 50), 20)
+    assert gc.isenabled()
+    with pytest.raises(DomainError):
+        eval_at(raises_when_expanded(), Rat(1, 3), 8)
+    assert gc.isenabled()
+    with pytest.raises(RecursionError):
+        eval_at(to_tree(parse("pow(logistic(2),600)")), Rat(7, 10), 8)
+    assert gc.isenabled()
+
+
+def test_disabled_collector_stays_disabled(collector_on):
+    gc.disable()
+    t = logistic_tree(Rat(3, 2))
+    eval_at(t, Rat(1, 3), 20)
+    digits_at(t, Rat(1, 3), 20)
+    modulus(t, 4)
+    check_productive(t, 4, 8)
+    integral(t, 6)
+    with pytest.raises(DomainError):
+        eval_at(raises_when_expanded(), Rat(1, 3), 8)
+    with collector_paused():
+        with collector_paused():
+            pass
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+def test_nested_pause_restores_on_exit(collector_on):
+    with collector_paused():
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_digits_at():
+    t = quad_tree(Rat(-2, 3), 0, Rat(-1, 3))
+    assert digits_str(digits_at(t, Rat(0), 6)) == "NZPZPZ"
+    with pytest.raises(DomainError):
+        digits_at(t, Rat(3, 2), 4)
+    with pytest.raises(DomainError):
+        digits_at(lin_tree([Rat(1, 4), Rat(1, 4)], 0), Rat(0), 4)

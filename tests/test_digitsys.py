@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdreal.ctree import (
     apply,
@@ -29,9 +31,9 @@ from sdreal.oracle import (
     lipschitz_evaluator,
 )
 from sdreal.rationals import Rat
-from sdreal.sdstream import N, P, Z, constant, digits_str
+from sdreal.sdstream import DIGITS, N, P, Z, constant, digits_str
 
-from conftest import GRID, within
+from conftest import GRID, same_nodes, within
 
 
 def digits_of(t, n, at=None):
@@ -142,6 +144,40 @@ def test_quad_invariant_preserved():
                 break
         if not wrote:
             todo.extend(_quad_read(state, d) for d in DIGITS)
+
+
+def quad_reference(u, v, w):
+    # reference rule: the rational _quad_test/_quad_write/_quad_read step
+    # unfolded by the generic builder; quad_tree must equal it node for node
+    from sdreal.digitsys import _quad_read, _quad_test, _quad_write
+
+    def step(state):
+        for e in DIGITS:
+            if _quad_test(state, e):
+                return WriteStep(e, _quad_write(state, e))
+        return ReadStep(1, tuple(_quad_read(state, d) for d in DIGITS))
+
+    return build_tree(DigitalSystem(1, step), (u, v, w))
+
+
+@st.composite
+def quadratics(draw):
+    """(u, v, w) for u (x - c)^2 + m mapping I into I.  The vertex (c, m)
+    lies on the 1/8 grid, so digit windows are often met exactly, where
+    the integer unfold's comparisons must not be strict."""
+    c = Rat(draw(st.integers(-16, 16)), 8)
+    m = Rat(draw(st.integers(-8, 8)), 8)
+    sign = draw(st.sampled_from((-1, 1)))
+    # the image lies between m and m + u (1 + |c|)^2
+    room = (1 - sign * m) / (1 + abs(c)) ** 2
+    u = sign * room * Rat(draw(st.integers(0, 8)), 8)
+    return u, -2 * u * c, u * c * c + m
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratics())
+def test_quad_tree_matches_rational_rule(uvw):
+    assert same_nodes(quad_tree(*uvw), quad_reference(*uvw), 9)
 
 
 def test_quad_degenerate_is_linear():
