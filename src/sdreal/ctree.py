@@ -12,6 +12,13 @@ a DAG.  That cache is the memoization the whole package leans on —
 repeating an evaluation expands nothing new.  Composition shares too:
 each (f-position, inner trees) state owns one tree object, so paths that
 meet in a state expand it once.
+
+Trees and families.  Every tree is one state of a family: a slotless
+CTree subclass made by `family`, whose class attributes (arity, stats and,
+when states are shared, memo) all its trees share.  A tree stores only its
+cached node and its state, and `_expand` — computing the node from the
+state — is the one hook a family defines.  `digitsys.build_tree` is the
+public way to define a tree; CTree itself is not constructed directly.
 """
 
 import gc
@@ -47,6 +54,14 @@ class ReadNode:
         return self.branches[int(d) + 1]
 
 
+class MirrorRead(ReadNode):
+    """A read whose N and P branches are mirror images: the P branch
+    realizes x -> g(-x) where the N branch realizes g, so both have the
+    same integral.  Builders that can tell return it for such reads."""
+
+    __slots__ = ()
+
+
 class ExpansionStats:
     """Counts node expansions for one tree's cache, transitively.
 
@@ -76,38 +91,47 @@ class ExpansionStats:
 
 
 class CTree:
-    """n-ary continuity tree with deferred, cached root expansion."""
+    """n-ary continuity tree: one state of a family, with deferred, cached
+    root expansion.  Subclasses made by `family` supply arity, stats and
+    `_expand`, the node of `self.state`."""
 
-    __slots__ = ("arity", "stats", "_node", "_thunk")
+    __slots__ = ("_node", "state")
+    memo = None
 
-    def __init__(self, thunk, arity, stats):
-        self.arity = arity
-        self.stats = stats
-        if callable(thunk):
-            self._node = None
-            self._thunk = thunk
-        else:
-            self._node = thunk
-            self._thunk = None
+    def __init__(self, state):
+        self._node = None
+        self.state = state
+
+    @classmethod
+    def _at(cls, state):
+        """The family's one tree for `state`; without a memo, a fresh one."""
+        memo = cls.memo
+        if memo is None:
+            return cls(state)
+        t = memo.get(state)
+        if t is None:
+            t = memo[state] = cls(state)
+        return t
 
     @property
     def root(self):
         node = self._node
         if node is None:
-            thunk = self._thunk
-            node = thunk() if thunk is not None else self._expand()
-            self._node = node
-            self._thunk = None
+            node = self._node = self._expand()
             self.stats.count += 1
         return node
-
-    def _expand(self):
-        # hook for subclasses that carry builder state instead of a thunk
-        raise RuntimeError("tree has neither a cached node nor a thunk")
 
     @property
     def expanded(self):
         return self._node is not None
+
+
+def family(base, arity, stats, **attrs):
+    """A new family of `base` trees: a slotless subclass holding arity,
+    stats and `attrs` (such as memo) as class attributes, so each tree
+    stores only its node and state."""
+    attrs.update(__slots__=(), arity=arity, stats=stats)
+    return type(base.__name__, (base,), attrs)
 
 
 @contextmanager
@@ -129,12 +153,16 @@ def expansion_count(t):
     return t.stats.total()
 
 
+class _Constant(CTree):
+    __slots__ = ()
+
+    def _expand(self):
+        return WriteNode(self.state, self)
+
+
 def constant_tree(digit, arity=1):
     """The one-node cyclic tree writing `digit` forever."""
-    t = CTree(lambda: None, arity, ExpansionStats())
-    t._node = WriteNode(SignedDigit(digit), t)
-    t._thunk = None
-    return t
+    return family(_Constant, arity, ExpansionStats())(SignedDigit(digit))
 
 
 def apply(t, inputs):
@@ -194,56 +222,43 @@ def feed_digit(t, i, d):
     """
     if not 1 <= i <= t.arity:
         raise DomainError(f"input index {i} out of range 1..{t.arity}")
-    return _feed(t, i, SignedDigit(d), ExpansionStats(parents=(t.stats,)))
+    fed = family(_Fed, t.arity, ExpansionStats(parents=(t.stats,)))
+    return fed((t, i, SignedDigit(d)))
 
 
-def _feed(t, i, d, stats):
-    # feed_digit without the checks; its expansions are counted in `stats`,
-    # which compose passes so that its own stats cover the fed trees
-    arity = t.arity
+class _Fed(CTree):
+    """The state (sub, i, d): tree sub with digit d fed to input i.  A
+    family's expansions count in its stats, which compose shares with its
+    own family so that its stats cover the fed trees."""
 
-    def fed(sub):
-        return CTree(lambda: expand(sub), arity, stats)
+    __slots__ = ()
 
-    def expand(sub):
+    def _expand(self):
+        cls = self.__class__
+        sub, i, d = self.state
         node = sub.root
         if isinstance(node, WriteNode):
-            return WriteNode(node.digit, fed(node.next))
+            return WriteNode(node.digit, cls((node.next, i, d)))
         if node.index == i:
             return node.branch(d).root
-        return ReadNode(node.index, tuple(fed(b) for b in node.branches))
-
-    return fed(t)
+        return ReadNode(node.index, tuple(cls((b, i, d)) for b in node.branches))
 
 
 class _CompTree(CTree):
     """One state (fpos, cur) of a composition: fpos is the tree at the
     current position in f, cur the tuple of current inner trees.
 
-    arity, stats and memo live on a per-composition subclass (see compose);
-    memo maps each state reached so far to its one tree object, keyed on
-    object identity, so paths that meet in a state share its expansion.
+    Each composition is a family (see compose) whose memo, keyed on object
+    identity, maps each state reached so far to its one tree object, so
+    paths that meet in a state share its expansion; `fed` is the family of
+    the inner trees it feeds digits to.
     """
 
-    # not named `state`: integrate's mirror shortcut reads that slot as
-    # a _QuadTree state
-    __slots__ = ("_cstate",)
-
-    def __init__(self, state):
-        self._node = None
-        self._thunk = None
-        self._cstate = state
-
-    @classmethod
-    def _at(cls, state):
-        t = cls.memo.get(state)
-        if t is None:
-            t = cls.memo[state] = cls(state)
-        return t
+    __slots__ = ()
 
     def _expand(self):
         cls = self.__class__
-        fpos, cur = self._cstate
+        fpos, cur = self.state
         while True:
             node = fpos.root
             if isinstance(node, WriteNode):
@@ -258,7 +273,7 @@ class _CompTree(CTree):
             branches = []
             for e in DIGITS:
                 new = tuple(
-                    gnode.branch(e) if k == i else _feed(g, j, e, cls.stats)
+                    gnode.branch(e) if k == i else cls.fed((g, j, e))
                     for k, g in enumerate(cur)
                 )
                 branches.append(cls._at((fpos, new)))
@@ -284,13 +299,9 @@ def compose(f, gs):
     if any(g.arity != m for g in gs):
         raise DomainError("inner trees must share one arity")
 
-    class composition(_CompTree):
-        __slots__ = ()
-        arity = m
-        stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
-        memo = {}
-
-    return composition._at((f, gs))
+    stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
+    fed = family(_Fed, m, stats)
+    return family(_CompTree, m, stats, memo={}, fed=fed)._at((f, gs))
 
 
 def modulus(t, k):

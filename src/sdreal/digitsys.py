@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable
 
-from .ctree import CTree, ExpansionStats, ReadNode, WriteNode, compose
+from .ctree import CTree, ExpansionStats, MirrorRead, ReadNode, WriteNode
+from .ctree import compose, family
 from .errors import DomainError
 from .rationals import Rat
 from .sdstream import DIGITS, SignedDigit, select_digit
@@ -44,35 +45,32 @@ class DigitalSystem:
     step: Callable
 
 
+class _SysTree(CTree):
+    """One state of a digital system `system` (a family attribute)."""
+
+    __slots__ = ()
+
+    def _expand(self):
+        at = self._at
+        step = self.system.step(self.state)
+        if isinstance(step, WriteStep):
+            return WriteNode(step.digit, at(step.state))
+        return ReadNode(step.index, tuple(at(s) for s in step.branches))
+
+
 def build_tree(sys, start):
     """Unfold a digital system from `start` into a lazy tree.
 
     With hashable states, each distinct state owns exactly one tree
     object, cached after its first expansion; else each visit gets one.
     """
-    stats = ExpansionStats()
     try:
         hash(start)
         memo = {}
     except TypeError:
         memo = None
-
-    def tree_for(state):
-        if memo is not None:
-            t = memo.get(state)
-            if t is None:
-                t = CTree(lambda: expand(state), sys.arity, stats)
-                memo[state] = t
-            return t
-        return CTree(lambda: expand(state), sys.arity, stats)
-
-    def expand(state):
-        step = sys.step(state)
-        if isinstance(step, WriteStep):
-            return WriteNode(step.digit, tree_for(step.state))
-        return ReadNode(step.index, tuple(tree_for(s) for s in step.branches))
-
-    return tree_for(start)
+    fam = family(_SysTree, sys.arity, ExpansionStats(), memo=memo, system=sys)
+    return fam._at(start)
 
 
 def _norm1(u):
@@ -159,16 +157,11 @@ class _QuadTree(CTree):
     and the digit test is _quad_test with both sides multiplied out, so
     the emitted tree is node-for-node the one the rational step yields.
     Integration folds millions of these nodes, hence the hand-inlining.
+    A read of an even function (V = 0) is a MirrorRead: its N and P
+    successors then differ only in the sign of their V.
     """
 
-    # arity, stats and memo live on a per-family subclass (see quad_tree)
-    # so each of the ~10^6 nodes stores only its state
-    __slots__ = ("state",)
-
-    def __init__(self, state):
-        self._node = None
-        self._thunk = None
-        self.state = state
+    __slots__ = ()
 
     def _expand(self):
         memo = self.memo
@@ -238,7 +231,7 @@ class _QuadTree(CTree):
                 b = cls(s2)
                 memo[s2] = b
             branches.append(b)
-        return ReadNode(1, tuple(branches))
+        return (MirrorRead if V == 0 else ReadNode)(1, tuple(branches))
 
 
 def quad_tree(u, v, w):
@@ -259,15 +252,7 @@ def quad_tree(u, v, w):
     g = gcd(U, V, W, S)
     state = (U // g, V // g, W // g, S // g)
 
-    class family(_QuadTree):
-        __slots__ = ()
-        arity = 1
-        stats = ExpansionStats()
-        memo = {}
-
-    root = family(state)
-    family.memo[state] = root
-    return root
+    return family(_QuadTree, 1, ExpansionStats(), memo={})._at(state)
 
 
 def logistic_tree(a):

@@ -12,6 +12,8 @@ Grammar (whitespace-insensitive between tokens)::
 
 Decimal literals convert exactly (1.5 is 3/2).  Syntax errors carry 1-based byte
 offsets; range errors ("does not map I to I") surface from construction.
+Parentheses and pow( nest at most MAX_NESTING deep: the parser recurses
+once per level.
 """
 
 import re
@@ -28,6 +30,8 @@ _TOKEN = re.compile(
     r"|\s*(?P<sym>[(),/+-])"
     r"|\s*(?P<bad>\S)"
 )
+
+MAX_NESTING = 100
 
 
 def _tokenize(src):
@@ -53,6 +57,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -83,11 +88,19 @@ class _Parser:
             else:
                 return expr
 
+    def parse_nested(self, pos):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos + 1)
+        self.depth += 1
+        inner = self.parse_func()
+        self.depth -= 1
+        return inner
+
     def parse_atom(self):
         kind, text, pos = self.peek()
         if kind == "sym" and text == "(":
             self.next()
-            inner = self.parse_func()
+            inner = self.parse_nested(pos)
             self.expect(")")
             return inner
         if kind == "name":
@@ -103,7 +116,7 @@ class _Parser:
                 return Logistic(*args)
             if text == "pow":
                 self.expect("(")
-                base = self.parse_func()
+                base = self.parse_nested(pos)
                 self.expect(",")
                 n = self.parse_nat()
                 self.expect(")")

@@ -15,7 +15,7 @@ ctree.collector_paused: a collection would rescan them all and free nothing.
 
 from dataclasses import dataclass
 
-from .ctree import WriteNode, collector_paused
+from .ctree import MirrorRead, WriteNode, collector_paused
 from .errors import DomainError, ResourceLimitError
 from .rationals import Rat
 
@@ -50,10 +50,7 @@ def integral(t, k, max_nodes=None):
         node = tree._node
         if node is None:
             # inlined CTree.root, the hot expansion path
-            thunk = tree._thunk
-            node = thunk() if thunk is not None else tree._expand()
-            tree._node = node
-            tree._thunk = None
+            node = tree._node = tree._expand()
             tree.stats.count += 1
         while type(node) is WriteNode:
             acc = acc + acc + node.digit
@@ -65,10 +62,7 @@ def integral(t, k, max_nodes=None):
             tree = node.next
             node = tree._node
             if node is None:
-                thunk = tree._thunk
-                node = thunk() if thunk is not None else tree._expand()
-                tree._node = node
-                tree._thunk = None
+                node = tree._node = tree._expand()
                 tree.stats.count += 1
         budget -= m + 1
         if budget < 0:
@@ -76,17 +70,9 @@ def integral(t, k, max_nodes=None):
                 f"integration exceeded the {max_nodes}-node budget"
             )
         bn, _, bp = node.branches
-        # mirror shortcut: x -> f(-x) has the same integral, digit for
-        # digit, so a branch pair related by x-reflection folds once
-        sn = getattr(bn, "state", None)
-        sp = getattr(bp, "state", None) if sn is not None else None
-        if (
-            sp is not None
-            and sp[0] == sn[0]
-            and sp[1] == -sn[1]
-            and sp[2] == sn[2]
-            and sp[3] == sn[3]
-        ):
+        if type(node) is MirrorRead:
+            # x -> g(-x) has the same integral, digit for digit, so the
+            # mirrored branch pair folds once
             num, p = fold(bn, k)
         else:
             nn, pn = fold(bn, k)

@@ -4,6 +4,7 @@ import io
 import pytest
 
 from sdreal.cli import float_iterate, main
+from sdreal.exprdsl import MAX_NESTING
 from sdreal.rationals import Rat, parse_rat
 from sdreal.sdstream import digits_from_str, from_digits, sigma_approx
 
@@ -146,6 +147,26 @@ def test_deep_composition_is_a_resource_limit(argv, capsys):
     assert err.startswith("resource limit: composition depth")
     assert "Traceback" not in err
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("opener", ["(", "pow("])
+def test_deep_nesting_is_a_parse_error(opener, capsys):
+    # the parser recurses per nesting level, so it stops at a fixed depth
+    # with its own message, not the composition-depth resource limit
+    closer = ")" if opener == "(" else ",1)"
+    at = ("--at", "1/3", "--prec", "10")
+    expr = opener * 2000 + "lin(1/2,0)" + closer * 2000
+    code, out = run("eval", expr, *at)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    offset = MAX_NESTING * len(opener) + 1
+    assert err == (
+        f"error: nesting deeper than {MAX_NESTING} levels "
+        f"(at position {offset})\n"
+    )
+    n = MAX_NESTING
+    code, out = run("eval", opener * n + "lin(1/2,0)" + closer * n, *at)
+    assert code == 0 and out == "85/512\n"
 
 
 def test_float_demo():

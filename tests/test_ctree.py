@@ -19,6 +19,7 @@ from sdreal.ctree import (
     digits_at,
     eval_at,
     expansion_count,
+    family,
     feed_digit,
     modulus,
     render_ascii,
@@ -198,15 +199,24 @@ def test_compose_binary_outer():
         assert within(eval_at(t, q, 20), want, 20)
 
 
+class Thunk(CTree):
+    # a tree whose state is a closure computing its node
+    __slots__ = ()
+
+    def _expand(self):
+        return self.state()
+
+
 def compose_unshared(f, gs):
     # reference rule without sharing: a fresh CTree per visit to a state,
     # so the result unfolds as a tree; compose must equal it node for node
     gs = tuple(gs)
     m = gs[0].arity
     stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
+    thunks = family(Thunk, m, stats)
 
     def comp(fpos, cur):
-        return CTree(lambda: expand(fpos, cur), m, stats)
+        return thunks(lambda: expand(fpos, cur))
 
     def expand(fpos, cur):
         node = fpos.root if isinstance(fpos, CTree) else fpos

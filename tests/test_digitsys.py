@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from sdreal.ctree import (
     apply,
     check_productive,
+    digits_at,
     eval_at,
     expansion_count,
 )
@@ -49,6 +50,31 @@ def test_build_tree_constant_writer():
 def test_build_tree_write_free_not_productive():
     sys = DigitalSystem(1, lambda s: ReadStep(1, (s, s, s)))
     assert not check_productive(build_tree(sys, 0), 1, 64)
+
+
+def affine_step(state):
+    # x -> u x + v with |u| + |v| <= 1, on a (u, v) list or tuple
+    u, v = state
+    again = type(state)
+    if abs(u) <= Rat(1, 4):
+        e = N if v < Rat(-1, 4) else P if v > Rat(1, 4) else Z
+        return WriteStep(e, again((2 * u, 2 * v - int(e))))
+    return ReadStep(1, tuple(again((u / 2, v + u * int(d) / 2)) for d in DIGITS))
+
+
+def test_build_tree_unhashable_states():
+    # list states cannot key the memo: the same digits, a tree per visit
+    sys = DigitalSystem(1, affine_step)
+    for u, v in ((Rat(3, 4), Rat(1, 5)), (Rat(-1, 2), Rat(1, 3))):
+        lists = build_tree(sys, [u, v])
+        tuples = build_tree(sys, (u, v))
+        for q in GRID:
+            assert digits_at(lists, q, 40) == digits_at(tuples, q, 40)
+    zero = build_tree(sys, [Rat(0), Rat(0)])
+    again = zero.root.next
+    assert again.state == zero.state and again is not zero
+    shared = build_tree(sys, (Rat(0), Rat(0)))
+    assert shared.root.next is shared
 
 
 def test_lin_tree_productive():

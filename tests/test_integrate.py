@@ -1,7 +1,11 @@
-import pytest
+from fractions import Fraction
 
-from sdreal.ctree import constant_tree
-from sdreal.digitsys import lin_tree, logistic_tree
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdreal.ctree import WriteNode, compose, constant_tree
+from sdreal.digitsys import lin_tree, logistic_tree, quad_tree
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.integrate import integral
 from sdreal.oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
@@ -104,3 +108,61 @@ def test_arity_and_precision_errors():
 def test_resource_limit_reported():
     with pytest.raises(ResourceLimitError):
         integral(logistic_tree(2), 16, max_nodes=10)
+
+
+def plain_integral(t, k):
+    # reference fold: the two integral identities on Fractions, folding
+    # both branches of every read (no mirror shortcut, no integer pairs)
+    def fold(tree, k):
+        if k == 0:
+            return Fraction(0)
+        node = tree.root
+        if isinstance(node, WriteNode):
+            return int(node.digit) + fold(node.next, k - 1) / 2
+        bn, _, bp = node.branches
+        return (fold(bn, k) + fold(bp, k)) / 2
+
+    return fold(t, k)
+
+
+@st.composite
+def quads(draw):
+    # u x^2 + v x + w on the 1/8 grid with |u| + |v| + |w| <= 1; half of
+    # them even (v = 0), whose reads mirror their N and P branches
+    u = draw(st.integers(-8, 8))
+    left = 8 - abs(u)
+    v = draw(st.just(0) | st.integers(-left, left))
+    left -= abs(v)
+    w = draw(st.integers(-left, left))
+    return quad_tree(Rat(u, 8), Rat(v, 8), Rat(w, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quads(), st.integers(0, 12))
+def test_fold_matches_plain_rule_on_quads(t, k):
+    assert integral(t, k).value == plain_integral(t, k)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: to_tree(Comp(Lin(Rat(1, 2), 0), Logistic(Rat(3, 2)))),
+        lambda: to_tree(Pow(Logistic(Rat(2)), 2)),
+        # fed inner trees hand on the quads' own reads, mirrors included
+        lambda: compose(
+            lin_tree([Rat(1, 2), Rat(1, 2)], 0),
+            (logistic_tree(2), logistic_tree(Rat(3, 2))),
+        ),
+    ],
+)
+def test_fold_matches_plain_rule_on_composed(make):
+    t = make()
+    for k in (0, 1, 5, 9, 12):
+        assert integral(t, k).value == plain_integral(t, k)
+
+
+def test_mirror_shortcut_visits():
+    # the shortcut fires at every read of an even state, as it always has
+    res = integral(logistic_tree(2), 14)
+    assert res.value == Rat(89478149, 134217728)
+    assert res.nodes_visited == 97_671
