@@ -337,13 +337,16 @@ def check_productive(t, k_writes, max_reads):
     """Bounded productivity check: along every path each of the first
     `k_writes` writes arrives within `max_reads` consecutive reads.
     Returns False (never diverges) when the bound is exceeded."""
-    memo = {}
+    # per-writes_left dicts keyed by ints, which the collector does not track
+    memo = [{} for _ in range(k_writes + 1)]
+    stride = max_reads + 1
 
     def go(node, writes_left, reads_left):
         if writes_left == 0:
             return True
-        key = (id(node), writes_left, reads_left)
-        got = memo.get(key)
+        seen = memo[writes_left]
+        key = id(node) * stride + reads_left
+        got = seen.get(key)
         if got is not None:
             return got
         if isinstance(node, WriteNode):
@@ -354,7 +357,7 @@ def check_productive(t, k_writes, max_reads):
             res = all(
                 go(b.root, writes_left, reads_left - 1) for b in node.branches
             )
-        memo[key] = res
+        seen[key] = res
         return res
 
     with collector_paused():

@@ -13,7 +13,7 @@ uniform-continuity modulus.
 """
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import Callable
 
 from .ctree import CTree, ExpansionStats, MirrorRead, ReadNode, WriteNode
@@ -77,15 +77,23 @@ def _norm1(u):
     return sum(abs(ui) for ui in u)
 
 
-_QUARTER = Rat(1, 4)
+def _integer_state(*qs):
+    """(N_1, ..., N_k, S) with q_i = N_i/S, S > 0, in lowest terms: S is
+    the lcm of the reduced denominators, so no prime divides every N_i."""
+    S = lcm(*(int(q.denominator) for q in qs))
+    ns = tuple(int(q.numerator) * (S // int(q.denominator)) for q in qs)
+    return ns + (S,)
 
 
 def lin_tree(u, v):
     """Tree for x -> u_1 x_1 + ... + u_n x_n + v, |u|_1 + |v| <= 1.
 
-    When |u|_1 <= 1/4 the image fits some I_d and a digit is written;
-    otherwise the (smallest) input with |u_i| >= |u|_1/n is read, which
-    contracts |u|_1 by at least 1 - 1/(2n).
+    The state (U, V, S) denotes x -> (U . x + V)/S in lowest terms, S > 0.
+    When |u|_1 <= 1/4 (4 |U|_1 <= S) the image fits some I_d and a digit is
+    written; otherwise the (smallest) input with |u_i| >= |u|_1/n is read,
+    which contracts |u|_1 by at least 1 - 1/(2n).  A successor's only
+    possible common factor is 2: a write divides by it exactly when S is
+    even, a read of input i exactly when U_i is even.
     """
     u = tuple(Rat(ui) for ui in u)
     v = Rat(v)
@@ -96,27 +104,27 @@ def lin_tree(u, v):
         raise DomainError("|u|_1 + |v| must be <= 1 to map I^n into I")
 
     def step(state):
-        su, sv = state
-        s1 = _norm1(su)
-        if s1 <= _QUARTER:
-            if sv < -_QUARTER:
-                e = SignedDigit.N
-            elif sv > _QUARTER:
-                e = SignedDigit.P
-            else:
-                e = SignedDigit.Z
-            return WriteStep(
-                e, (tuple(2 * ui for ui in su), 2 * sv - int(e))
-            )
-        i = next(k for k, ui in enumerate(su) if n * abs(ui) >= s1)
-        ui = su[i]
-        half = su[:i] + (ui / 2,) + su[i + 1 :]
-        return ReadStep(
-            i + 1,
-            tuple((half, sv + ui * int(d) / 2) for d in DIGITS),
-        )
+        U, V, S = state
+        s1 = _norm1(U)
+        if 4 * s1 <= S:
+            e = N if 4 * V < -S else P if 4 * V > S else Z
+            if S & 1:
+                U = tuple(2 * x for x in U)
+                return WriteStep(e, (U, 2 * V - e * S, S))
+            h = S >> 1
+            return WriteStep(e, (U, V - e * h, h))
+        i = next(k for k, x in enumerate(U) if n * abs(x) >= s1)
+        ui = U[i]
+        if ui & 1:
+            U = tuple(2 * x for x in U)
+            V, S = 2 * V, 2 * S
+        else:
+            ui >>= 1
+        half = U[:i] + (ui,) + U[i + 1 :]
+        return ReadStep(i + 1, tuple((half, V + d * ui, S) for d in DIGITS))
 
-    return build_tree(DigitalSystem(n, step), (u, v))
+    *U, V, S = _integer_state(*u, v)
+    return build_tree(DigitalSystem(n, step), (tuple(U), V, S))
 
 
 def quad_range(u, v, w):
@@ -130,32 +138,16 @@ def quad_range(u, v, w):
     return min(crit), max(crit)
 
 
-def _quad_test(state, e):
-    u, v, w = state
-    low, high = quad_range(u, v, w)
-    e = int(e)
-    return 2 * low >= e - 1 and 2 * high <= e + 1
-
-
-def _quad_write(state, e):
-    u, v, w = state
-    return (2 * u, 2 * v, 2 * w - int(e))
-
-
-def _quad_read(state, d):
-    u, v, w = state
-    d = int(d)
-    return (u / 4, (u * d + v) / 2, u * d * d / 4 + v * d / 2 + w)
-
-
 class _QuadTree(CTree):
     """Quadratic-family tree with a fused, integer-only unfold.
 
     The state is (U, V, W, S) in lowest terms with S > 0, denoting
-    x -> (U x^2 + V x + W)/S.  Write and read successors are exactly
-    _quad_write/_quad_read cleared of fractions (reads rescale S by 4),
-    and the digit test is _quad_test with both sides multiplied out, so
-    the emitted tree is node-for-node the one the rational step yields.
+    x -> (U x^2 + V x + W)/S.  Write and read successors are the rational
+    step's (f -> 2f - e and f -> f((x + d)/2)) cleared of fractions, and
+    the digit test multiplies out "the image lies in I_e", so the emitted
+    tree is node-for-node the one the rational step yields.  Lowest terms
+    need no gcd: a write's only common factor is 2, when S is even, and
+    all three read successors share the factor lowbit(U | 2V | 4).
     Integration folds millions of these nodes, hence the hand-inlining.
     A read of an even function (V = 0) is a MirrorRead: its N and P
     successors then differ only in the sign of their V.
@@ -201,12 +193,11 @@ class _QuadTree(CTree):
                (emax is None or emax >= 2 * su2):
                 e = 1
         if e is not None:
-            u2, v2, w2 = U + U, V + V, W + W - e * S
-            g = gcd(u2, v2, w2, S)
-            if g > 1:
-                s2 = (u2 // g, v2 // g, w2 // g, S // g)
+            if S & 1:
+                s2 = (U + U, V + V, W + W - e * S, S)
             else:
-                s2 = (u2, v2, w2, S)
+                S >>= 1
+                s2 = (U, V, W - e * S, S)
             nxt = memo.get(s2)
             if nxt is None:
                 nxt = cls(s2)
@@ -215,17 +206,22 @@ class _QuadTree(CTree):
         S4 = 4 * S
         W4 = 4 * W
         V2 = V + V
+        g = U | V2 | 4
+        g &= -g
+        if g > 1:
+            # g divides each term below
+            U //= g
+            V2 //= g
+            W4 //= g
+            S4 //= g
+        U2 = U + U
         branches = []
         for vd, wd in (
-            (V2 - U - U, W4 + U - V2),
+            (V2 - U2, W4 + U - V2),
             (V2, W4),
-            (V2 + U + U, W4 + U + V2),
+            (V2 + U2, W4 + U + V2),
         ):
-            g = gcd(U, vd, wd, S4)
-            if g > 1:
-                s2 = (U // g, vd // g, wd // g, S4 // g)
-            else:
-                s2 = (U, vd, wd, S4)
+            s2 = (U, vd, wd, S4)
             b = memo.get(s2)
             if b is None:
                 b = cls(s2)
@@ -239,19 +235,13 @@ def quad_tree(u, v, w):
 
     Digits are tried in N, Z, P order and the first whose half-interval
     contains the whole image is written; if none fits, the input is read.
-    The unfold runs on fraction-free integer states (see _QuadTree); the
-    rational helpers _quad_test/_quad_write/_quad_read state the same
-    step rule at reference speed.
+    The unfold runs on fraction-free integer states (see _QuadTree).
     """
     u, v, w = Rat(u), Rat(v), Rat(w)
     low, high = quad_range(u, v, w)
     if low < -1 or high > 1:
         raise DomainError("u x^2 + v x + w does not map [-1,1] into itself")
-    S = lcm(int(u.denominator), int(v.denominator), int(w.denominator))
-    U, V, W = (int(u * S), int(v * S), int(w * S))
-    g = gcd(U, V, W, S)
-    state = (U // g, V // g, W // g, S // g)
-
+    state = _integer_state(u, v, w)
     return family(_QuadTree, 1, ExpansionStats(), memo={})._at(state)
 
 
@@ -277,36 +267,47 @@ def iterate_tree(t, n):
 class ModulusEvaluator:
     """Computable witness of uniform continuity of some f: I -> I.
 
-    approx(p, delta) returns q with f[ball_delta(p)] inside
-    ball_eps(q) for the eps that delta answers; modulus(eps) returns such
-    a delta.  Honesty is the caller's obligation.
+    approx(c, r) returns q with f[ball_r(c)] inside ball_eps(q) whenever
+    r <= modulus(eps); tree_from_modulus passes dyadic c and r (an
+    interval's midpoint and half-width).  modulus(eps) must depend on eps
+    alone: tree_from_modulus asks it once per write level and keeps the
+    answer.  Honesty is the caller's obligation.
     """
 
     approx: Callable
     modulus: Callable
 
 
+def _halvings(delta):
+    """Least p >= 0 with 2^-p <= delta, for rational delta > 0."""
+    n, d = delta.numerator, delta.denominator
+    if n <= 0:
+        raise DomainError("a modulus must be positive")
+    p = max(0, d.bit_length() - n.bit_length())
+    return p + 1 if n << p < d else p
+
+
 def tree_from_modulus(ev):
     """Tree for the function a ModulusEvaluator describes (unary only).
 
-    State: dyadic input interval (midpoint c, half-width r) plus the
-    affine residue of the digits written so far — the current function is
-    2^j * f - t on that interval.  A digit is written once the evaluator
-    pins the image down to radius 2^-(j+2); otherwise reading a digit
-    halves the interval.
+    The state (m, p, j, t), all integers: the input interval has midpoint
+    m/2^p and half-width 2^-p, and the current function is 2^j f - t on
+    it, t the residue of the j digits written so far.  A digit is written
+    once ev.modulus(2^-(j+2)) >= 2^-p, which pins the image down to radius
+    2^-(j+2); otherwise reading digit d halves the interval, to
+    (2m + d, p + 1, j, t).  Fractions appear only in the calls to ev.
     """
-    start = (Rat(0), Rat(1), 0, Rat(0))
+    need = {}  # write level j -> least p at which level j writes
 
     def step(state):
-        c, r, j, t = state
-        eps = Rat(1, 4 * 2**j)
-        if ev.modulus(eps) >= r:
-            q = 2**j * ev.approx(c, r) - t
+        m, p, j, t = state
+        least = need.get(j)
+        if least is None:
+            least = need[j] = _halvings(Rat(ev.modulus(Rat(1, 4 << j))))
+        if p >= least:
+            q = (1 << j) * ev.approx(Rat(m, 1 << p), Rat(1, 1 << p)) - t
             d = select_digit(q)
-            return WriteStep(d, (c, r, j + 1, 2 * t + int(d)))
-        return ReadStep(
-            1,
-            tuple((c + int(d) * r / 2, r / 2, j, t) for d in DIGITS),
-        )
+            return WriteStep(d, (m, p, j + 1, 2 * t + d))
+        return ReadStep(1, tuple((2 * m + d, p + 1, j, t) for d in DIGITS))
 
-    return build_tree(DigitalSystem(1, step), start)
+    return build_tree(DigitalSystem(1, step), (0, 0, 0, 0))

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from sdreal.ctree import (
     digits_at,
     eval_at,
     expansion_count,
+    modulus,
 )
 from sdreal.digitsys import (
     DigitalSystem,
@@ -24,6 +27,7 @@ from sdreal.digitsys import (
 )
 from sdreal.ctree import WriteNode
 from sdreal.errors import DomainError
+from sdreal.exprdsl import parse
 from sdreal.oracle import (
     Lin,
     Logistic,
@@ -32,7 +36,16 @@ from sdreal.oracle import (
     lipschitz_evaluator,
 )
 from sdreal.rationals import Rat
-from sdreal.sdstream import DIGITS, N, P, Z, constant, digits_str
+from sdreal.sdstream import (
+    DIGITS,
+    N,
+    P,
+    Z,
+    SignedDigit,
+    constant,
+    digits_str,
+    select_digit,
+)
 
 from conftest import GRID, same_nodes, within
 
@@ -75,6 +88,92 @@ def test_build_tree_unhashable_states():
     assert again.state == zero.state and again is not zero
     shared = build_tree(sys, (Rat(0), Rat(0)))
     assert shared.root.next is shared
+
+
+def lin_reference(u, v):
+    # reference rule: the rational step lin_tree unfolded before its states
+    # became integers, on (u, v) with Fraction coefficients
+    u = tuple(Rat(ui) for ui in u)
+    v = Rat(v)
+    n = len(u)
+    _QUARTER = Rat(1, 4)
+
+    def _norm1(u):
+        return sum(abs(ui) for ui in u)
+
+    def step(state):
+        su, sv = state
+        s1 = _norm1(su)
+        if s1 <= _QUARTER:
+            if sv < -_QUARTER:
+                e = SignedDigit.N
+            elif sv > _QUARTER:
+                e = SignedDigit.P
+            else:
+                e = SignedDigit.Z
+            return WriteStep(
+                e, (tuple(2 * ui for ui in su), 2 * sv - int(e))
+            )
+        i = next(k for k, ui in enumerate(su) if n * abs(ui) >= s1)
+        ui = su[i]
+        half = su[:i] + (ui / 2,) + su[i + 1 :]
+        return ReadStep(
+            i + 1,
+            tuple((half, sv + ui * int(d) / 2) for d in DIGITS),
+        )
+
+    return build_tree(DigitalSystem(n, step), (u, v))
+
+
+def flat(state):
+    for x in state:
+        yield from flat(x) if type(x) is tuple else (x,)
+
+
+def int_states(t):
+    """Every state t's family has reached is made of ints."""
+    return all(type(x) is int for s in type(t).memo for x in flat(s))
+
+
+def lowest_terms(t):
+    """Every state t's family has reached has coprime entries."""
+    return all(gcd(*flat(s)) == 1 for s in type(t).memo)
+
+
+def same_sharing(t, ref):
+    """t's family reached as many states as ref's: with states in one-to-one
+    correspondence, the two trees share the same subtrees."""
+    return len(type(t).memo) == len(type(ref).memo)
+
+
+# odd and even denominators: a lin write halves its state exactly when the
+# common denominator is even, a read when the coefficient read is even
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 149)
+
+
+@st.composite
+def affine_maps(draw, arity):
+    """(u, v) with |u|_1 + |v| <= 1, each coefficient over its own
+    denominator."""
+    room = Rat(1)
+    coeffs = []
+    for _ in range(arity + 1):
+        den = draw(st.sampled_from(DENOMINATORS))
+        top = int(room * den)
+        q = Rat(draw(st.integers(-top, top)), den)
+        room -= abs(q)
+        coeffs.append(q)
+    coeffs = draw(st.permutations(coeffs))
+    return coeffs[:-1], coeffs[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2).flatmap(affine_maps))
+def test_lin_tree_matches_rational_rule(uv):
+    u, v = uv
+    t, ref = lin_tree(u, v), lin_reference(u, v)
+    assert same_nodes(t, ref, 9)
+    assert int_states(t) and lowest_terms(t) and same_sharing(t, ref)
 
 
 def test_lin_tree_productive():
@@ -152,11 +251,30 @@ def test_quad_tree_fig1_root():
     assert node.digit is N
 
 
+# the rational quadratic step rule, at reference speed: _QuadTree's integer
+# unfold must equal it node for node
+
+
+def _quad_test(state, e):
+    u, v, w = state
+    low, high = quad_range(u, v, w)
+    e = int(e)
+    return 2 * low >= e - 1 and 2 * high <= e + 1
+
+
+def _quad_write(state, e):
+    u, v, w = state
+    return (2 * u, 2 * v, 2 * w - int(e))
+
+
+def _quad_read(state, d):
+    u, v, w = state
+    d = int(d)
+    return (u / 4, (u * d + v) / 2, u * d * d / 4 + v * d / 2 + w)
+
+
 def test_quad_invariant_preserved():
     # quadWrite/quadRead keep the function mapping I into I
-    from sdreal.digitsys import _quad_read, _quad_test, _quad_write
-    from sdreal.sdstream import DIGITS
-
     todo = [(Rat(-2, 3), Rat(0), Rat(-1, 3))]
     for _ in range(80):
         state = todo.pop(0)
@@ -175,8 +293,6 @@ def test_quad_invariant_preserved():
 def quad_reference(u, v, w):
     # reference rule: the rational _quad_test/_quad_write/_quad_read step
     # unfolded by the generic builder; quad_tree must equal it node for node
-    from sdreal.digitsys import _quad_read, _quad_test, _quad_write
-
     def step(state):
         for e in DIGITS:
             if _quad_test(state, e):
@@ -203,7 +319,9 @@ def quadratics(draw):
 @settings(max_examples=60, deadline=None)
 @given(quadratics())
 def test_quad_tree_matches_rational_rule(uvw):
-    assert same_nodes(quad_tree(*uvw), quad_reference(*uvw), 9)
+    t, ref = quad_tree(*uvw), quad_reference(*uvw)
+    assert same_nodes(t, ref, 9)
+    assert lowest_terms(t) and same_sharing(t, ref)
 
 
 def test_quad_degenerate_is_linear():
@@ -290,3 +408,62 @@ def test_tree_from_modulus_vs_oracle(expr):
 def test_tree_from_modulus_productive():
     t = tree_from_modulus(lipschitz_evaluator(Quad(Rat(1, 2), 0, 0)))
     assert check_productive(t, 6, 12)
+
+
+def modulus_reference(ev):
+    # reference rule: the rational step tree_from_modulus unfolded before
+    # its states became integers, on (c, r, j, t) with Fraction c, r, t
+    start = (Rat(0), Rat(1), 0, Rat(0))
+
+    def step(state):
+        c, r, j, t = state
+        eps = Rat(1, 4 * 2**j)
+        if ev.modulus(eps) >= r:
+            q = 2**j * ev.approx(c, r) - t
+            d = select_digit(q)
+            return WriteStep(d, (c, r, j + 1, 2 * t + int(d)))
+        return ReadStep(
+            1,
+            tuple((c + int(d) * r / 2, r / 2, j, t) for d in DIGITS),
+        )
+
+    return build_tree(DigitalSystem(1, step), start)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lin(1/2, 1/3)",
+        "lin(-3/4, 1/8)",
+        "lin(2/7, -5/9)",
+        "quad(1/2, 0, 0)",
+        "quad(-2/3, 0, -1/3)",
+        "quad(1/4, -1/3, 1/5)",
+        "logistic(3/2)",
+    ],
+)
+def test_tree_from_modulus_matches_rational_rule(text):
+    ev = lipschitz_evaluator(parse(text))
+    t, ref = tree_from_modulus(ev), modulus_reference(ev)
+    assert same_nodes(t, ref, 9)
+    assert int_states(t) and same_sharing(t, ref)
+
+
+def test_tree_from_modulus_asks_modulus_once_per_level():
+    ev = lipschitz_evaluator(parse("quad(1/2,0,0)"))
+    asked = []
+
+    def counted(eps):
+        asked.append(eps)
+        return ev.modulus(eps)
+
+    t = tree_from_modulus(ModulusEvaluator(ev.approx, counted))
+    assert modulus(t, 10) == 11
+    assert expansion_count(t) == 17374
+    assert len(asked) <= 11
+
+
+def test_tree_from_modulus_needs_positive_modulus():
+    ev = ModulusEvaluator(approx=lambda p, r: Rat(0), modulus=lambda eps: 0)
+    with pytest.raises(DomainError):
+        tree_from_modulus(ev).root
