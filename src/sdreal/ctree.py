@@ -337,6 +337,8 @@ def check_productive(t, k_writes, max_reads):
     """Bounded productivity check: along every path each of the first
     `k_writes` writes arrives within `max_reads` consecutive reads.
     Returns False (never diverges) when the bound is exceeded."""
+    if k_writes < 0 or max_reads < 0:
+        raise DomainError("check_productive needs k_writes, max_reads >= 0")
     # per-writes_left dicts keyed by ints, which the collector does not track
     memo = [{} for _ in range(k_writes + 1)]
     stride = max_reads + 1

@@ -359,6 +359,12 @@ def test_check_productive():
     assert check_productive(fig1_tree(), 8, 8)
 
 
+@pytest.mark.parametrize("k_writes, max_reads", [(-1, 8), (8, -1)])
+def test_check_productive_rejects_negative_bounds(k_writes, max_reads):
+    with pytest.raises(DomainError, match="k_writes, max_reads >= 0"):
+        check_productive(fig1_tree(), k_writes, max_reads)
+
+
 def test_render_ascii():
     text = render_ascii(constant_tree(Z), 3)
     assert text.splitlines() == ["Z", "  Z", "    Z"]
