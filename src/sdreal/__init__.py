@@ -7,6 +7,8 @@ memoized continuity trees.  See the module docstrings of `sdstream`,
 
 from .ctree import (
     CTree,
+    ReadNode,
+    WriteNode,
     apply,
     as_stream,
     check_productive,
@@ -23,8 +25,6 @@ from .ctree import (
 from .digitsys import (
     DigitalSystem,
     ModulusEvaluator,
-    ReadStep,
-    WriteStep,
     build_tree,
     iterate_tree,
     lin_tree,

@@ -54,7 +54,9 @@ def _build_parser():
     ig.add_argument("expression")
     ig.add_argument("--prec", required=True, type=_positive(), metavar="K")
     ig.add_argument("--decimal", type=_positive(), metavar="D")
-    ig.add_argument("--max-nodes", type=int, default=50_000_000)
+    ig.add_argument(
+        "--max-nodes", type=_positive(50_000_000), default=50_000_000
+    )
 
     tr = sub.add_parser("tree", help="render the continuity tree")
     tr.add_argument("expression")

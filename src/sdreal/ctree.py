@@ -24,7 +24,7 @@ public way to define a tree; CTree itself is not constructed directly.
 import gc
 from contextlib import contextmanager
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .sdstream import (
     DIGITS,
     DigitStream,
@@ -96,7 +96,6 @@ class CTree:
     `_expand`, the node of `self.state`."""
 
     __slots__ = ("_node", "state")
-    memo = None
 
     def __init__(self, state):
         self._node = None
@@ -104,10 +103,8 @@ class CTree:
 
     @classmethod
     def _at(cls, state):
-        """The family's one tree for `state`; without a memo, a fresh one."""
+        """The family's one tree for `state`, from its memo."""
         memo = cls.memo
-        if memo is None:
-            return cls(state)
         t = memo.get(state)
         if t is None:
             t = memo[state] = cls(state)
@@ -366,7 +363,37 @@ def check_productive(t, k_writes, max_reads):
         return go(t.root, k_writes, max_reads)
 
 
-def _read_label(node, arity):
+RENDER_MAX_NODES = 100_000
+
+
+def _walk(t, depth):
+    """Pre-order (level, number, parent number, node) over the first `depth`
+    levels of t, branches in N, Z, P order; nodes are numbered 1, 2, ...
+    as visited, and the root's parent number is 0.  Output grows as
+    3^depth, so visiting more than RENDER_MAX_NODES nodes is a resource
+    limit."""
+    if depth > 32:
+        raise DomainError("render depth capped at 32")
+    stack = [(0, 0, t)] if depth > 0 else []
+    count = 0
+    while stack:
+        level, parent, tree = stack.pop()
+        count += 1
+        if count > RENDER_MAX_NODES:
+            raise ResourceLimitError(
+                f"rendering exceeds {RENDER_MAX_NODES} nodes"
+            )
+        node = tree.root
+        yield level, count, parent, node
+        if level + 1 < depth:
+            kids = (node.next,) if type(node) is WriteNode else node.branches
+            stack.extend((level + 1, count, k) for k in reversed(kids))
+
+
+def _label(node, arity):
+    """A write's digit; a read's ``x<i>``, empty for unary trees."""
+    if isinstance(node, WriteNode):
+        return node.digit.name
     return f"x{node.index}" if arity > 1 else ""
 
 
@@ -376,25 +403,10 @@ def render_ascii(t, depth):
     Write nodes show their digit; read nodes show ``x<i>`` (bare ``x``
     for unary trees); branches appear in N, Z, P order, two characters
     of indent per level."""
-    if depth > 32:
-        raise DomainError("render depth capped at 32")
-    lines = []
-
-    def go(tree, level):
-        if level >= depth:
-            return
-        node = tree.root
-        pad = "  " * level
-        if isinstance(node, WriteNode):
-            lines.append(pad + node.digit.name)
-            go(node.next, level + 1)
-        else:
-            label = _read_label(node, t.arity) or "x"
-            lines.append(pad + label)
-            for b in node.branches:
-                go(b, level + 1)
-
-    go(t, 0)
+    lines = [
+        "  " * level + (_label(node, t.arity) or "x")
+        for level, _, _, node in _walk(t, depth)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -402,33 +414,10 @@ def render_dot(t, depth):
     """DOT rendering of the first `depth` levels: write nodes are circles
     labelled N/Z/P, read nodes circles labelled ``x<i>`` (unlabelled for
     unary trees), edges in N, Z, P order."""
-    if depth > 32:
-        raise DomainError("render depth capped at 32")
     lines = ["digraph ctree {", "  node [shape=circle];"]
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return f"n{counter[0]}"
-
-    def go(tree, level):
-        name = fresh()
-        node = tree.root
-        if isinstance(node, WriteNode):
-            lines.append(f'  {name} [label="{node.digit.name}"];')
-            if level + 1 < depth:
-                child = go(node.next, level + 1)
-                lines.append(f"  {name} -> {child};")
-        else:
-            label = _read_label(node, t.arity)
-            lines.append(f'  {name} [label="{label}"];')
-            if level + 1 < depth:
-                for b in node.branches:
-                    child = go(b, level + 1)
-                    lines.append(f"  {name} -> {child};")
-        return name
-
-    if depth > 0:
-        go(t, 0)
+    for _, n, parent, node in _walk(t, depth):
+        lines.append(f'  n{n} [label="{_label(node, t.arity)}"];')
+        if parent:
+            lines.append(f"  n{parent} -> n{n};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,8 +3,8 @@
 A digital system classifies each state as "write digit d, continue in the
 successor state" or "read one digit of input i, branch on it"; reads must
 make progress towards the next write.  `build_tree` unfolds such a system
-lazily into a CTree, sharing one tree object per state when states are
-hashable — revisited states then cost nothing and linear maps with dyadic
+lazily into a CTree, sharing one tree object per (hashable) state —
+revisited states then cost nothing and linear maps with dyadic
 coefficients literally become finite automata.
 
 The concrete families: linear-affine maps, quadratics (hence the logistic
@@ -14,32 +14,23 @@ uniform-continuity modulus.
 
 from dataclasses import dataclass
 from math import lcm
+from sys import getrecursionlimit
 from typing import Callable
 
 from .ctree import CTree, ExpansionStats, MirrorRead, ReadNode, WriteNode
 from .ctree import compose, family
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .rationals import Rat
-from .sdstream import DIGITS, SignedDigit, select_digit
+from .sdstream import DIGITS, select_digit
 
 N, Z, P = DIGITS
 
 
 @dataclass(frozen=True)
-class WriteStep:
-    digit: SignedDigit
-    state: object
-
-
-@dataclass(frozen=True)
-class ReadStep:
-    index: int
-    branches: tuple  # successor states in (N, Z, P) order
-
-
-@dataclass(frozen=True)
 class DigitalSystem:
-    """step decides write-or-read per state."""
+    """step(state) returns a fresh node naming successor states in place
+    of subtrees: WriteNode(digit, state) or ReadNode(index, (s_N, s_Z,
+    s_P)).  The unfold swaps those states for trees in that very node."""
 
     arity: int
     step: Callable
@@ -52,24 +43,21 @@ class _SysTree(CTree):
 
     def _expand(self):
         at = self._at
-        step = self.system.step(self.state)
-        if isinstance(step, WriteStep):
-            return WriteNode(step.digit, at(step.state))
-        return ReadNode(step.index, tuple(at(s) for s in step.branches))
+        node = self.system.step(self.state)
+        if isinstance(node, WriteNode):
+            node.next = at(node.next)
+        else:
+            node.branches = tuple(at(s) for s in node.branches)
+        return node
 
 
 def build_tree(sys, start):
     """Unfold a digital system from `start` into a lazy tree.
 
-    With hashable states, each distinct state owns exactly one tree
-    object, cached after its first expansion; else each visit gets one.
+    States key a memo, so they must be hashable: each distinct state owns
+    exactly one tree object, cached after its first expansion.
     """
-    try:
-        hash(start)
-        memo = {}
-    except TypeError:
-        memo = None
-    fam = family(_SysTree, sys.arity, ExpansionStats(), memo=memo, system=sys)
+    fam = family(_SysTree, sys.arity, ExpansionStats(), memo={}, system=sys)
     return fam._at(start)
 
 
@@ -80,8 +68,8 @@ def _norm1(u):
 def _integer_state(*qs):
     """(N_1, ..., N_k, S) with q_i = N_i/S, S > 0, in lowest terms: S is
     the lcm of the reduced denominators, so no prime divides every N_i."""
-    S = lcm(*(int(q.denominator) for q in qs))
-    ns = tuple(int(q.numerator) * (S // int(q.denominator)) for q in qs)
+    S = lcm(*(q.denominator for q in qs))
+    ns = tuple(q.numerator * (S // q.denominator) for q in qs)
     return ns + (S,)
 
 
@@ -110,9 +98,9 @@ def lin_tree(u, v):
             e = N if 4 * V < -S else P if 4 * V > S else Z
             if S & 1:
                 U = tuple(2 * x for x in U)
-                return WriteStep(e, (U, 2 * V - e * S, S))
+                return WriteNode(e, (U, 2 * V - e * S, S))
             h = S >> 1
-            return WriteStep(e, (U, V - e * h, h))
+            return WriteNode(e, (U, V - e * h, h))
         i = next(k for k, x in enumerate(U) if n * abs(x) >= s1)
         ui = U[i]
         if ui & 1:
@@ -121,7 +109,7 @@ def lin_tree(u, v):
         else:
             ui >>= 1
         half = U[:i] + (ui,) + U[i + 1 :]
-        return ReadStep(i + 1, tuple((half, V + d * ui, S) for d in DIGITS))
+        return ReadNode(i + 1, tuple((half, V + d * ui, S) for d in DIGITS))
 
     *U, V, S = _integer_state(*u, v)
     return build_tree(DigitalSystem(n, step), (tuple(U), V, S))
@@ -254,9 +242,18 @@ def logistic_tree(a):
 
 
 def iterate_tree(t, n):
-    """n-fold self-composition, left-nested: f^(k+1) = f^k . f."""
+    """n-fold self-composition, left-nested: f^(k+1) = f^k . f.
+
+    A walk takes a stack frame per layer, so n above the recursion limit
+    is a resource limit, raised before any layer is built.
+    """
     if n < 1:
         raise DomainError("iteration count must be >= 1")
+    if n > getrecursionlimit():
+        raise ResourceLimitError(
+            f"composition depth {n} exceeds the recursion limit "
+            f"({getrecursionlimit()} frames)"
+        )
     acc = t
     for _ in range(n - 1):
         acc = compose(acc, (t,))
@@ -307,7 +304,7 @@ def tree_from_modulus(ev):
         if p >= least:
             q = (1 << j) * ev.approx(Rat(m, 1 << p), Rat(1, 1 << p)) - t
             d = select_digit(q)
-            return WriteStep(d, (m, p, j + 1, 2 * t + d))
-        return ReadStep(1, tuple((2 * m + d, p + 1, j, t) for d in DIGITS))
+            return WriteNode(d, (m, p, j + 1, 2 * t + d))
+        return ReadNode(1, tuple((2 * m + d, p + 1, j, t) for d in DIGITS))
 
     return build_tree(DigitalSystem(1, step), (0, 0, 0, 0))

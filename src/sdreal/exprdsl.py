@@ -144,12 +144,8 @@ class _Parser:
         if kind != "num":
             self.fail("a number")
         self.next()
-        if "." in text:
-            whole, frac = text.split(".")
-            num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
-            value = Rat(num, 10 ** len(frac))
-        else:
-            value = Rat(int(text))
+        value = Rat(text)  # exact for decimal literals too
+        if "." not in text:
             nk, nt, _ = self.peek()
             if nk == "sym" and nt == "/":
                 self.next()

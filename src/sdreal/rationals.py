@@ -1,39 +1,14 @@
 """Exact rational scalars.
 
 Every coefficient, approximation and integral in this package is an exact
-rational in lowest terms with a positive denominator.  The default backend
-is gmpy2's C-implemented ``mpq``; setting the environment variable
-``SDREAL_PURE_PYTHON=1`` (or not having gmpy2 installed) selects the
-stdlib ``fractions.Fraction`` instead.  Both are normalized on
-construction, interoperate with Python ints, and hash consistently within
-one process, which is all the rest of the package relies on.
+rational in lowest terms with a positive denominator: a stdlib
+``fractions.Fraction``, normalized on construction and interoperating with
+Python ints.
 """
 
-import os
 from fractions import Fraction
 
-_backend = "fraction"
-if not os.environ.get("SDREAL_PURE_PYTHON"):
-    try:
-        from gmpy2 import mpq as _mpq
-
-        _backend = "gmpy2"
-    except ImportError:
-        pass
-
-BACKEND = _backend
-
-if _backend == "gmpy2":
-
-    def Rat(numerator, denominator=1):
-        """Exact rational, normalized (gmpy2 backend)."""
-        return _mpq(numerator, denominator)
-
-else:
-
-    def Rat(numerator, denominator=1):
-        """Exact rational, normalized (stdlib Fraction backend)."""
-        return Fraction(numerator, denominator)
+Rat = Fraction
 
 
 def rat_str(q):
@@ -48,8 +23,7 @@ def parse_rat(text):
     ``1.5`` becomes 3/2 and ``0.7`` becomes 7/10; no binary rounding
     happens anywhere.
     """
-    f = Fraction(text.strip())
-    return Rat(f.numerator, f.denominator)
+    return Fraction(text.strip())
 
 
 def decimal_str(q, digits):

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -51,3 +52,11 @@ def same_nodes(a, b, depth):
             same_nodes(p, q, depth - 1) for p, q in zip(x.branches, y.branches)
         )
     )
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    # a test that leaves the collector switched changes every later test
+    enabled = gc.isenabled()
+    yield
+    assert gc.isenabled() == enabled, "the test switched the collector"

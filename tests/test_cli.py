@@ -130,6 +130,34 @@ def test_resource_limit_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-nodes=-1",)])
+def test_max_nodes_must_be_positive(flag, capsys):
+    code, out = run("integrate", "lin(0,0)", "--prec", "4", *flag)
+    assert code == 2 and out == ""
+    assert "must be in 1..50000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("tree", "pow(logistic(2),3)", "--depth", "20"),
+            "rendering exceeds 100000 nodes",
+        ),
+        (
+            ("eval", "pow(lin(0,0),1000000)", "--at", "0", "--prec", "4"),
+            "composition depth 1000000 exceeds the recursion limit",
+        ),
+    ],
+)
+def test_unbounded_output_is_a_resource_limit(argv, message, capsys):
+    code, out = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith(f"resource limit: {message}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

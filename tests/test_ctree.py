@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import threading
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdreal.ctree import (
+    RENDER_MAX_NODES,
     CTree,
     ExpansionStats,
     ReadNode,
@@ -27,13 +29,12 @@ from sdreal.ctree import (
 )
 from sdreal.digitsys import (
     DigitalSystem,
-    ReadStep,
     build_tree,
     lin_tree,
     logistic_tree,
     quad_tree,
 )
-from sdreal.errors import DomainError
+from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.exprdsl import parse, to_tree
 from sdreal.integrate import integral
 from sdreal.oracle import Lin, Logistic, Quad, eval_exact
@@ -63,7 +64,7 @@ def identity_tree():
 
 
 def read_forever_tree():
-    return build_tree(DigitalSystem(1, lambda s: ReadStep(1, (s, s, s))), 0)
+    return build_tree(DigitalSystem(1, lambda s: ReadNode(1, (s, s, s))), 0)
 
 
 def test_apply_constant():
@@ -387,6 +388,45 @@ def test_render_depth_cap():
         render_ascii(constant_tree(Z), 33)
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the depth-6 ASCII rendering and of the sorted lines of the
+# depth-6 DOT rendering, recorded when each renderer had its own walk
+RENDERED_AT_DEPTH_6 = {
+    "quad(-2/3,0,-1/3)": (
+        "38c6f0eb4d062f28ba161369a9266a47628f07375c027a53c963fccc1b09eed5",
+        "865f59938726bbfd963b33eee75c2788512c9660b51fd0408b64ad1322324e1b",
+    ),
+    "pow(logistic(2),3)": (
+        "a0acb629a555f45fa795d964bdf517b13cfb2c2e67a8cb3ac20b768192b8e077",
+        "12f39de5aa1e5c2321bc5cce8acea5abbb4985b2fee2087ef7b74b6bbd2ceb6e",
+    ),
+    "lin(1/2,0) o logistic(3/2)": (
+        "e87109094823166f3cc80154bc4aa17d10ae8a1688be09fa4aded48ddef12b70",
+        "576e8d495f78614ef1e8f42fd8b0fc9a8eaf67eefb7b1ab3e1ba8b497d6fba52",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(RENDERED_AT_DEPTH_6))
+def test_render_output_pinned(expr):
+    ascii_hash, dot_hash = RENDERED_AT_DEPTH_6[expr]
+    assert sha256(render_ascii(to_tree(parse(expr)), 6)) == ascii_hash
+    dot = render_dot(to_tree(parse(expr)), 6)
+    assert sha256("\n".join(sorted(dot.splitlines()))) == dot_hash
+
+
+@pytest.mark.parametrize("render", [render_ascii, render_dot])
+def test_render_node_limit(render):
+    # output grows as 3^depth: depth 20 of this tree has millions of nodes
+    t = to_tree(parse("pow(logistic(2),3)"))
+    with pytest.raises(ResourceLimitError, match="100000 nodes"):
+        render(t, 20)
+    assert expansion_count(t) <= RENDER_MAX_NODES
+
+
 def test_expansion_counts():
     t = lin_tree([Rat(1, 4)], Rat(1, 5))
     assert expansion_count(t) == 0
@@ -424,8 +464,7 @@ def collector_on():
     was_enabled = gc.isenabled()
     gc.enable()
     yield
-    if not was_enabled:
-        gc.disable()
+    (gc.enable if was_enabled else gc.disable)()
 
 
 def collections_during(fn, *args):
@@ -461,7 +500,7 @@ def raises_when_expanded():
     def step(s):
         if s == 3:
             raise DomainError("state 3 has no step")
-        return ReadStep(1, (s + 1,) * 3)
+        return ReadNode(1, (s + 1,) * 3)
 
     return build_tree(DigitalSystem(1, step), 0)
 

@@ -1,13 +1,17 @@
 from math import gcd
+from sys import getrecursionlimit
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdreal import digitsys
 from sdreal.ctree import (
+    ReadNode,
+    WriteNode,
     apply,
     check_productive,
-    digits_at,
+    compose,
     eval_at,
     expansion_count,
     modulus,
@@ -15,8 +19,6 @@ from sdreal.ctree import (
 from sdreal.digitsys import (
     DigitalSystem,
     ModulusEvaluator,
-    ReadStep,
-    WriteStep,
     build_tree,
     iterate_tree,
     lin_tree,
@@ -25,8 +27,7 @@ from sdreal.digitsys import (
     quad_tree,
     tree_from_modulus,
 )
-from sdreal.ctree import WriteNode
-from sdreal.errors import DomainError
+from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.exprdsl import parse
 from sdreal.oracle import (
     Lin,
@@ -55,37 +56,31 @@ def digits_of(t, n, at=None):
 
 
 def test_build_tree_constant_writer():
-    sys = DigitalSystem(1, lambda s: WriteStep(Z, s))
+    sys = DigitalSystem(1, lambda s: WriteNode(Z, s))
     t = build_tree(sys, ())
     assert digits_of(t, 6) == [Z] * 6
 
 
 def test_build_tree_write_free_not_productive():
-    sys = DigitalSystem(1, lambda s: ReadStep(1, (s, s, s)))
+    sys = DigitalSystem(1, lambda s: ReadNode(1, (s, s, s)))
     assert not check_productive(build_tree(sys, 0), 1, 64)
 
 
 def affine_step(state):
-    # x -> u x + v with |u| + |v| <= 1, on a (u, v) list or tuple
+    # x -> u x + v with |u| + |v| <= 1, on a (u, v) tuple
     u, v = state
-    again = type(state)
     if abs(u) <= Rat(1, 4):
         e = N if v < Rat(-1, 4) else P if v > Rat(1, 4) else Z
-        return WriteStep(e, again((2 * u, 2 * v - int(e))))
-    return ReadStep(1, tuple(again((u / 2, v + u * int(d) / 2)) for d in DIGITS))
+        return WriteNode(e, (2 * u, 2 * v - int(e)))
+    return ReadNode(1, tuple((u / 2, v + u * int(d) / 2) for d in DIGITS))
 
 
 def test_build_tree_unhashable_states():
-    # list states cannot key the memo: the same digits, a tree per visit
+    # states key the memo: a list state fails at build time, and equal
+    # tuple states share one tree
     sys = DigitalSystem(1, affine_step)
-    for u, v in ((Rat(3, 4), Rat(1, 5)), (Rat(-1, 2), Rat(1, 3))):
-        lists = build_tree(sys, [u, v])
-        tuples = build_tree(sys, (u, v))
-        for q in GRID:
-            assert digits_at(lists, q, 40) == digits_at(tuples, q, 40)
-    zero = build_tree(sys, [Rat(0), Rat(0)])
-    again = zero.root.next
-    assert again.state == zero.state and again is not zero
+    with pytest.raises(TypeError):
+        build_tree(sys, [Rat(0), Rat(0)])
     shared = build_tree(sys, (Rat(0), Rat(0)))
     assert shared.root.next is shared
 
@@ -111,13 +106,13 @@ def lin_reference(u, v):
                 e = SignedDigit.P
             else:
                 e = SignedDigit.Z
-            return WriteStep(
+            return WriteNode(
                 e, (tuple(2 * ui for ui in su), 2 * sv - int(e))
             )
         i = next(k for k, ui in enumerate(su) if n * abs(ui) >= s1)
         ui = su[i]
         half = su[:i] + (ui / 2,) + su[i + 1 :]
-        return ReadStep(
+        return ReadNode(
             i + 1,
             tuple((half, sv + ui * int(d) / 2) for d in DIGITS),
         )
@@ -296,8 +291,8 @@ def quad_reference(u, v, w):
     def step(state):
         for e in DIGITS:
             if _quad_test(state, e):
-                return WriteStep(e, _quad_write(state, e))
-        return ReadStep(1, tuple(_quad_read(state, d) for d in DIGITS))
+                return WriteNode(e, _quad_write(state, e))
+        return ReadNode(1, tuple(_quad_read(state, d) for d in DIGITS))
 
     return build_tree(DigitalSystem(1, step), (u, v, w))
 
@@ -364,6 +359,20 @@ def test_iterate_one_is_same_tree():
         iterate_tree(t, 0)
 
 
+def test_iterate_past_recursion_limit_builds_nothing(monkeypatch):
+    # each layer costs a walk a stack frame, so such a tree is unwalkable
+    calls = []
+    monkeypatch.setattr(
+        digitsys, "compose", lambda *a: calls.append(a) or compose(*a)
+    )
+    t = logistic_tree(2)
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        iterate_tree(t, getrecursionlimit() + 1)
+    assert calls == []
+    iterate_tree(t, 3)
+    assert len(calls) == 2
+
+
 def test_iterate_two():
     t = iterate_tree(logistic_tree(2), 2)
     assert within(eval_at(t, Rat(7, 10), 20), Rat(1249, 1250), 20)
@@ -421,8 +430,8 @@ def modulus_reference(ev):
         if ev.modulus(eps) >= r:
             q = 2**j * ev.approx(c, r) - t
             d = select_digit(q)
-            return WriteStep(d, (c, r, j + 1, 2 * t + int(d)))
-        return ReadStep(
+            return WriteNode(d, (c, r, j + 1, 2 * t + int(d)))
+        return ReadNode(
             1,
             tuple((c + int(d) * r / 2, r / 2, j, t) for d in DIGITS),
         )
