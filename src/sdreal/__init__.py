@@ -7,10 +7,12 @@ memoized continuity trees.  See the module docstrings of `sdstream`,
 
 from .ctree import (
     CTree,
+    DigitalSystem,
     ReadNode,
     WriteNode,
     apply,
     as_stream,
+    build_tree,
     check_productive,
     compose,
     constant_tree,
@@ -23,9 +25,7 @@ from .ctree import (
     render_dot,
 )
 from .digitsys import (
-    DigitalSystem,
     ModulusEvaluator,
-    build_tree,
     iterate_tree,
     lin_tree,
     logistic_tree,

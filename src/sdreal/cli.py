@@ -205,9 +205,10 @@ def main(argv=None, out=None):
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # a tree walk takes stack frames per composed layer
-        print("resource limit: composition depth exceeds the recursion "
-              f"limit ({sys.getrecursionlimit()} frames)", file=sys.stderr)
+        # walks nest frames per composed layer, folds per read: name the
+        # limit, not a cause
+        print("resource limit: a tree walk exceeded the recursion limit "
+              f"({sys.getrecursionlimit()} frames)", file=sys.stderr)
         return 3
     return 0
 

@@ -16,13 +16,20 @@ meet in a state expand it once.
 Trees and families.  Every tree is one state of a family: a slotless
 CTree subclass made by `family`, whose class attributes (arity, stats and,
 when states are shared, memo) all its trees share.  A tree stores only its
-cached node and its state, and `_expand` — computing the node from the
-state — is the one hook a family defines.  `digitsys.build_tree` is the
-public way to define a tree; CTree itself is not constructed directly.
+cached node and its state.  Every family but one is a digital system
+unfolded by `build_tree`: a step maps a state to a write or read node
+whose children are successor states, and the unfold looks each one up in
+the family's memo.  `lin_tree`, `quad_tree`, `tree_from_modulus`,
+`compose` and `constant_tree` are all such systems.  The exception is the
+fed tree of `feed_digit` (see `_Fed`).  CTree itself is not constructed
+directly.
 """
 
 import gc
 from contextlib import contextmanager
+from dataclasses import dataclass
+from sys import getrecursionlimit
+from typing import Callable
 
 from .errors import DomainError, ResourceLimitError
 from .sdstream import (
@@ -92,23 +99,15 @@ class ExpansionStats:
 
 class CTree:
     """n-ary continuity tree: one state of a family, with deferred, cached
-    root expansion.  Subclasses made by `family` supply arity, stats and
-    `_expand`, the node of `self.state`."""
+    root expansion.  Subclasses made by `family` supply arity and stats,
+    and `_expand`, the node of `self.state`, which `root` calls once
+    (`_SysTree` overrides `root` instead)."""
 
     __slots__ = ("_node", "state")
 
     def __init__(self, state):
         self._node = None
         self.state = state
-
-    @classmethod
-    def _at(cls, state):
-        """The family's one tree for `state`, from its memo."""
-        memo = cls.memo
-        t = memo.get(state)
-        if t is None:
-            t = memo[state] = cls(state)
-        return t
 
     @property
     def root(self):
@@ -131,6 +130,62 @@ def family(base, arity, stats, **attrs):
     return type(base.__name__, (base,), attrs)
 
 
+@dataclass(frozen=True)
+class DigitalSystem:
+    """step(state) returns a fresh node naming successor states in place
+    of subtrees: WriteNode(digit, state) or ReadNode(index, (s_N, s_Z,
+    s_P)).  The unfold swaps those states for trees in that very node, so
+    the node keeps its class (a MirrorRead stays one)."""
+
+    arity: int
+    step: Callable
+
+
+class _SysTree(CTree):
+    """One state of a digital system, whose step is a family attribute.
+
+    `root` calls the step itself rather than through `_expand`: a walk
+    through n composed layers then nests two frames per layer, `root`
+    and the composition's step, not three."""
+
+    __slots__ = ()
+
+    @property
+    def root(self):
+        node = self._node
+        if node is None:
+            cls = self.__class__
+            memo = cls.memo
+            node = cls.step(self.state)
+            if type(node) is WriteNode:
+                s = node.next
+                node.next = memo.get(s) or memo.setdefault(s, cls(s))
+            else:
+                n, z, p = node.branches
+                node.branches = (
+                    memo.get(n) or memo.setdefault(n, cls(n)),
+                    memo.get(z) or memo.setdefault(z, cls(z)),
+                    memo.get(p) or memo.setdefault(p, cls(p)),
+                )
+            self._node = node
+            cls.stats.count += 1
+        return node
+
+
+def _unfold(system, start, stats):
+    fam = family(_SysTree, system.arity, stats, memo={}, step=system.step)
+    return fam.memo.setdefault(start, fam(start))
+
+
+def build_tree(system, start):
+    """Unfold a digital system from `start` into a lazy tree.
+
+    States key a memo, so they must be hashable: each distinct state owns
+    exactly one tree object, cached after its first expansion.
+    """
+    return _unfold(system, start, ExpansionStats())
+
+
 @contextmanager
 def collector_paused():
     """Disable the (process-wide) cyclic garbage collector for the block;
@@ -150,16 +205,10 @@ def expansion_count(t):
     return t.stats.total()
 
 
-class _Constant(CTree):
-    __slots__ = ()
-
-    def _expand(self):
-        return WriteNode(self.state, self)
-
-
 def constant_tree(digit, arity=1):
     """The one-node cyclic tree writing `digit` forever."""
-    return family(_Constant, arity, ExpansionStats())(SignedDigit(digit))
+    system = DigitalSystem(arity, lambda d: WriteNode(d, d))
+    return build_tree(system, SignedDigit(digit))
 
 
 def apply(t, inputs):
@@ -224,9 +273,10 @@ def feed_digit(t, i, d):
 
 
 class _Fed(CTree):
-    """The state (sub, i, d): tree sub with digit d fed to input i.  A
-    family's expansions count in its stats, which compose shares with its
-    own family so that its stats cover the fed trees."""
+    """The state (sub, i, d): tree sub with digit d fed to input i; compose
+    shares its stats with its fed trees.  The one family with no memo and
+    no step: where sub reads input i, the node is another tree's (the
+    branch d selects), which a step returning states cannot say."""
 
     __slots__ = ()
 
@@ -241,51 +291,16 @@ class _Fed(CTree):
         return ReadNode(node.index, tuple(cls((b, i, d)) for b in node.branches))
 
 
-class _CompTree(CTree):
-    """One state (fpos, cur) of a composition: fpos is the tree at the
-    current position in f, cur the tuple of current inner trees.
-
-    Each composition is a family (see compose) whose memo, keyed on object
-    identity, maps each state reached so far to its one tree object, so
-    paths that meet in a state share its expansion; `fed` is the family of
-    the inner trees it feeds digits to.
-    """
-
-    __slots__ = ()
-
-    def _expand(self):
-        cls = self.__class__
-        fpos, cur = self.state
-        while True:
-            node = fpos.root
-            if isinstance(node, WriteNode):
-                return WriteNode(node.digit, cls._at((node.next, cur)))
-            i = node.index - 1
-            gnode = cur[i].root
-            if isinstance(gnode, WriteNode):
-                fpos = node.branches[int(gnode.digit) + 1]
-                cur = cur[:i] + (gnode.next,) + cur[i + 1 :]
-                continue
-            j = gnode.index
-            branches = []
-            for e in DIGITS:
-                new = tuple(
-                    gnode.branch(e) if k == i else cls.fed((g, j, e))
-                    for k, g in enumerate(cur)
-                )
-                branches.append(cls._at((fpos, new)))
-            return ReadNode(j, tuple(branches))
-
-
 def compose(f, gs):
     """The tree realizing f(g_1,...,g_n); all g_i share one arity m.
 
-    Coiteration over (position in f, current gs): f-writes are emitted;
-    an f-read of input i inspects g_i — a g_i-write resolves the read
-    immediately, a g_i-read is emitted, with every other g_k pre-composed
-    with the digit just consumed (feed_digit).  Each state owns exactly
-    one tree object, so the composed tree unfolds as a DAG and a state
-    reached along several paths is expanded once.
+    A digital system over the states (fpos, cur): the tree at the current
+    position in f and the tuple of current inner trees.  f-writes are
+    emitted; an f-read of input i inspects g_i — a g_i-write resolves the
+    read immediately, a g_i-read is emitted, with every other g_k
+    pre-composed with the digit just consumed (feed_digit).  States hash
+    by tree identity, so a state reached along several paths is expanded
+    once.
     """
     gs = tuple(gs)
     if len(gs) != f.arity:
@@ -298,7 +313,39 @@ def compose(f, gs):
 
     stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
     fed = family(_Fed, m, stats)
-    return family(_CompTree, m, stats, memo={}, fed=fed)._at((f, gs))
+
+    def step(state):
+        fpos, cur = state
+        while True:
+            node = fpos.root
+            if type(node) is WriteNode:
+                return WriteNode(node.digit, (node.next, cur))
+            i = node.index - 1
+            gnode = cur[i].root
+            if type(gnode) is WriteNode:
+                fpos = node.branches[int(gnode.digit) + 1]
+                cur = cur[:i] + (gnode.next,) + cur[i + 1 :]
+                continue
+            j = gnode.index
+            return ReadNode(j, tuple(
+                (fpos, tuple(
+                    gnode.branch(e) if k == i else fed((g, j, e))
+                    for k, g in enumerate(cur)
+                ))
+                for e in DIGITS
+            ))
+
+    return _unfold(DigitalSystem(m, step), (f, gs), stats)
+
+
+def check_depth(depth, what):
+    """Refuse, before any work, a walk that nests `depth` stack frames
+    past the recursion limit: it could never finish."""
+    limit = getrecursionlimit()
+    if depth > limit:
+        raise ResourceLimitError(
+            f"{what} {depth} exceeds the recursion limit ({limit} frames)"
+        )
 
 
 def modulus(t, k):
@@ -309,6 +356,7 @@ def modulus(t, k):
     """
     if t.arity != 1 or k < 0:
         raise DomainError("modulus is defined for unary trees and k >= 0")
+    check_depth(k, "modulus depth")  # a frame per write swept
     # per-k dicts keyed by id: int keys, unlike tuples, are not gc-tracked
     memo = [{} for _ in range(k + 1)]
 
@@ -336,6 +384,7 @@ def check_productive(t, k_writes, max_reads):
     Returns False (never diverges) when the bound is exceeded."""
     if k_writes < 0 or max_reads < 0:
         raise DomainError("check_productive needs k_writes, max_reads >= 0")
+    check_depth(k_writes, "productivity depth")  # a frame per write
     # per-writes_left dicts keyed by ints, which the collector does not track
     memo = [{} for _ in range(k_writes + 1)]
     stride = max_reads + 1

@@ -1,11 +1,12 @@
-"""Digital systems: wellfounded state machines compiled to continuity trees.
+"""Digital systems: the built-in families of wellfounded state machines
+compiled to continuity trees by `ctree.build_tree`.
 
-A digital system classifies each state as "write digit d, continue in the
-successor state" or "read one digit of input i, branch on it"; reads must
-make progress towards the next write.  `build_tree` unfolds such a system
-lazily into a CTree, sharing one tree object per (hashable) state —
-revisited states then cost nothing and linear maps with dyadic
-coefficients literally become finite automata.
+Each base builder here is a step over integer states in lowest terms: a
+state is classified as "write digit d, continue in the successor state"
+or "read one digit of input i, branch on it", and reads make progress
+towards the next write.  The unfold shares one tree object per state, so
+revisited states cost nothing and linear maps with dyadic coefficients
+literally become finite automata.
 
 The concrete families: linear-affine maps, quadratics (hence the logistic
 family), iterated self-composition, and trees synthesized from an honest
@@ -14,51 +15,15 @@ uniform-continuity modulus.
 
 from dataclasses import dataclass
 from math import lcm
-from sys import getrecursionlimit
 from typing import Callable
 
-from .ctree import CTree, ExpansionStats, MirrorRead, ReadNode, WriteNode
-from .ctree import compose, family
-from .errors import DomainError, ResourceLimitError
+from .ctree import DigitalSystem, MirrorRead, ReadNode, WriteNode
+from .ctree import build_tree, check_depth, compose
+from .errors import DomainError
 from .rationals import Rat
 from .sdstream import DIGITS, select_digit
 
 N, Z, P = DIGITS
-
-
-@dataclass(frozen=True)
-class DigitalSystem:
-    """step(state) returns a fresh node naming successor states in place
-    of subtrees: WriteNode(digit, state) or ReadNode(index, (s_N, s_Z,
-    s_P)).  The unfold swaps those states for trees in that very node."""
-
-    arity: int
-    step: Callable
-
-
-class _SysTree(CTree):
-    """One state of a digital system `system` (a family attribute)."""
-
-    __slots__ = ()
-
-    def _expand(self):
-        at = self._at
-        node = self.system.step(self.state)
-        if isinstance(node, WriteNode):
-            node.next = at(node.next)
-        else:
-            node.branches = tuple(at(s) for s in node.branches)
-        return node
-
-
-def build_tree(sys, start):
-    """Unfold a digital system from `start` into a lazy tree.
-
-    States key a memo, so they must be hashable: each distinct state owns
-    exactly one tree object, cached after its first expansion.
-    """
-    fam = family(_SysTree, sys.arity, ExpansionStats(), memo={}, system=sys)
-    return fam._at(start)
 
 
 def _norm1(u):
@@ -126,8 +91,8 @@ def quad_range(u, v, w):
     return min(crit), max(crit)
 
 
-class _QuadTree(CTree):
-    """Quadratic-family tree with a fused, integer-only unfold.
+def _quad_step(state):
+    """The quadratic family's step, fused and integer-only.
 
     The state is (U, V, W, S) in lowest terms with S > 0, denoting
     x -> (U x^2 + V x + W)/S.  Write and read successors are the rational
@@ -140,82 +105,67 @@ class _QuadTree(CTree):
     A read of an even function (V = 0) is a MirrorRead: its N and P
     successors then differ only in the sign of their V.
     """
-
-    __slots__ = ()
-
-    def _expand(self):
-        memo = self.memo
-        cls = self.__class__
-        U, V, W, S = self.state
-        A = U + V + W
-        B = U - V + W
-        if A <= B:
-            lo2, hi2 = A + A, B + B
-        else:
-            lo2, hi2 = B + B, A + A
-        S2 = S + S
-        e = None
-        if hi2 - lo2 <= S2:
-            # endpoints fit a width-1 window; fold in the extremum
-            # (an interior critical point only ever widens the range)
-            emin = emax = None
-            U2 = U + U
-            if U > 0:
-                if -U2 <= V <= U2:
-                    emin = 4 * U * W - V * V
-                    su2 = S * U2
-            elif U < 0:
-                if U2 <= V <= -U2:
-                    emax = 4 * U * W - V * V
-                    su2 = S * U2
-            if lo2 >= -S2 and hi2 <= 0 and \
-               (emin is None or emin >= -2 * su2) and \
-               (emax is None or emax >= 0):
-                e = -1
-            elif lo2 >= -S and hi2 <= S and \
-               (emin is None or emin >= -su2) and \
-               (emax is None or emax >= su2):
-                e = 0
-            elif lo2 >= 0 and hi2 <= S2 and \
-               (emin is None or emin >= 0) and \
-               (emax is None or emax >= 2 * su2):
-                e = 1
-        if e is not None:
-            if S & 1:
-                s2 = (U + U, V + V, W + W - e * S, S)
-            else:
-                S >>= 1
-                s2 = (U, V, W - e * S, S)
-            nxt = memo.get(s2)
-            if nxt is None:
-                nxt = cls(s2)
-                memo[s2] = nxt
-            return WriteNode(DIGITS[e + 1], nxt)
-        S4 = 4 * S
-        W4 = 4 * W
-        V2 = V + V
-        g = U | V2 | 4
-        g &= -g
-        if g > 1:
-            # g divides each term below
-            U //= g
-            V2 //= g
-            W4 //= g
-            S4 //= g
+    U, V, W, S = state
+    A = U + V + W
+    B = U - V + W
+    if A <= B:
+        lo2, hi2 = A + A, B + B
+    else:
+        lo2, hi2 = B + B, A + A
+    S2 = S + S
+    e = None
+    if hi2 - lo2 <= S2:
+        # endpoints fit a width-1 window; fold in the extremum
+        # (an interior critical point only ever widens the range)
+        emin = emax = None
         U2 = U + U
-        branches = []
-        for vd, wd in (
-            (V2 - U2, W4 + U - V2),
-            (V2, W4),
-            (V2 + U2, W4 + U + V2),
-        ):
-            s2 = (U, vd, wd, S4)
-            b = memo.get(s2)
-            if b is None:
-                b = cls(s2)
-                memo[s2] = b
-            branches.append(b)
-        return (MirrorRead if V == 0 else ReadNode)(1, tuple(branches))
+        if U > 0:
+            if -U2 <= V <= U2:
+                emin = 4 * U * W - V * V
+                su2 = S * U2
+        elif U < 0:
+            if U2 <= V <= -U2:
+                emax = 4 * U * W - V * V
+                su2 = S * U2
+        if lo2 >= -S2 and hi2 <= 0 and \
+           (emin is None or emin >= -2 * su2) and \
+           (emax is None or emax >= 0):
+            e = -1
+        elif lo2 >= -S and hi2 <= S and \
+           (emin is None or emin >= -su2) and \
+           (emax is None or emax >= su2):
+            e = 0
+        elif lo2 >= 0 and hi2 <= S2 and \
+           (emin is None or emin >= 0) and \
+           (emax is None or emax >= 2 * su2):
+            e = 1
+    if e is not None:
+        if S & 1:
+            s2 = (U + U, V + V, W + W - e * S, S)
+        else:
+            S >>= 1
+            s2 = (U, V, W - e * S, S)
+        return WriteNode(DIGITS[e + 1], s2)
+    S4 = 4 * S
+    W4 = 4 * W
+    V2 = V + V
+    g = U | V2 | 4
+    g &= -g
+    if g > 1:
+        # g divides each term below
+        U //= g
+        V2 //= g
+        W4 //= g
+        S4 //= g
+    U2 = U + U
+    return (MirrorRead if V == 0 else ReadNode)(1, (
+        (U, V2 - U2, W4 + U - V2, S4),
+        (U, V2, W4, S4),
+        (U, V2 + U2, W4 + U + V2, S4),
+    ))
+
+
+_QUAD = DigitalSystem(1, _quad_step)
 
 
 def quad_tree(u, v, w):
@@ -223,14 +173,13 @@ def quad_tree(u, v, w):
 
     Digits are tried in N, Z, P order and the first whose half-interval
     contains the whole image is written; if none fits, the input is read.
-    The unfold runs on fraction-free integer states (see _QuadTree).
+    The unfold runs on fraction-free integer states (see _quad_step).
     """
     u, v, w = Rat(u), Rat(v), Rat(w)
     low, high = quad_range(u, v, w)
     if low < -1 or high > 1:
         raise DomainError("u x^2 + v x + w does not map [-1,1] into itself")
-    state = _integer_state(u, v, w)
-    return family(_QuadTree, 1, ExpansionStats(), memo={})._at(state)
+    return build_tree(_QUAD, _integer_state(u, v, w))
 
 
 def logistic_tree(a):
@@ -249,11 +198,7 @@ def iterate_tree(t, n):
     """
     if n < 1:
         raise DomainError("iteration count must be >= 1")
-    if n > getrecursionlimit():
-        raise ResourceLimitError(
-            f"composition depth {n} exceeds the recursion limit "
-            f"({getrecursionlimit()} frames)"
-        )
+    check_depth(n, "composition depth")
     acc = t
     for _ in range(n - 1):
         acc = compose(acc, (t,))

@@ -47,11 +47,8 @@ def integral(t, k, max_nodes=None):
         nonlocal budget
         acc = 0
         m = 0
-        node = tree._node
-        if node is None:
-            # inlined CTree.root, the hot expansion path
-            node = tree._node = tree._expand()
-            tree.stats.count += 1
+        # skip the property call when cached: nodes are never falsy
+        node = tree._node or tree.root
         while type(node) is WriteNode:
             acc = acc + acc + node.digit
             m += 1
@@ -60,10 +57,7 @@ def integral(t, k, max_nodes=None):
                 budget -= m
                 return acc + acc, m
             tree = node.next
-            node = tree._node
-            if node is None:
-                node = tree._node = tree._expand()
-                tree.stats.count += 1
+            node = tree._node or tree.root
         budget -= m + 1
         if budget < 0:
             raise ResourceLimitError(

@@ -1,5 +1,4 @@
 import gc
-from fractions import Fraction
 
 import pytest
 
@@ -23,10 +22,6 @@ GRID = [
 @pytest.fixture(scope="session")
 def grid():
     return GRID
-
-
-def to_rat(f: Fraction):
-    return Rat(f.numerator, f.denominator)
 
 
 def within(a, b, n):

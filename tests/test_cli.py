@@ -161,20 +161,31 @@ def test_unbounded_output_is_a_resource_limit(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("eval", "--at", "7/10", "--prec", "10"),
-        ("integrate", "--prec", "8"),
-        ("tree", "--depth", "3"),
+        ("eval", "pow(logistic(2),600)", "--at", "7/10", "--prec", "10"),
+        ("integrate", "pow(logistic(2),600)", "--prec", "8"),
+        ("tree", "pow(logistic(2),600)", "--depth", "3"),
+        # no composition at all: the integration fold nests a frame per read
+        ("integrate", "lin(1/2,0)", "--prec", "2000"),
     ],
 )
 def test_deep_composition_is_a_resource_limit(argv, capsys):
     # each composed layer costs stack frames: 600 of them exceed the
     # default recursion limit, which must end in exit 3, not a traceback
-    code, out = run(argv[0], "pow(logistic(2),600)", *argv[1:])
+    code, out = run(*argv)
     err = capsys.readouterr().err
     assert code == 3 and out == ""
-    assert err.startswith("resource limit: composition depth")
+    assert err.startswith(
+        "resource limit: a tree walk exceeded the recursion limit"
+    )
     assert "Traceback" not in err
     assert gc.isenabled()
+
+
+def test_composed_layer_costs_two_frames():
+    # 400 layers fit the default recursion limit at two stack frames a
+    # layer, the tree's root and the composition's step, not at three
+    code, out = run("eval", "pow(lin(1/2,0),400)", "--at", "7/10", "--prec", "10")
+    assert code == 0 and out == "0\n"
 
 
 @pytest.mark.parametrize("opener", ["(", "pow("])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 from sdreal.ctree import (
     RENDER_MAX_NODES,
     CTree,
+    DigitalSystem,
     ExpansionStats,
     ReadNode,
     WriteNode,
+    _SysTree,
     apply,
     as_stream,
+    build_tree,
     check_productive,
     collector_paused,
     compose,
@@ -28,8 +32,6 @@ from sdreal.ctree import (
     render_dot,
 )
 from sdreal.digitsys import (
-    DigitalSystem,
-    build_tree,
     lin_tree,
     logistic_tree,
     quad_tree,
@@ -303,16 +305,21 @@ def test_compose_shares_states():
 
 
 def test_expansion_count_nary_compose(monkeypatch):
-    # the feed_digit trees compose makes for a binary outer tree count too
+    # the feed_digit trees compose makes for a binary outer tree count too;
+    # digital systems expand through their own root, fed trees through
+    # CTree's, and the counter wraps both
     expansions = [0]
-    plain = CTree.root
 
-    def counted(self):
-        if not self.expanded:
-            expansions[0] += 1
-        return plain.fget(self)
+    def counted(plain):
+        def root(self):
+            if not self.expanded:
+                expansions[0] += 1
+            return plain.fget(self)
 
-    monkeypatch.setattr(CTree, "root", property(counted))
+        return property(root)
+
+    for cls in (CTree, _SysTree):
+        monkeypatch.setattr(cls, "root", counted(cls.root))
     f = lin_tree([Rat(1, 2), Rat(1, 2)], 0)
     gs = (lin_tree([Rat(1, 3)], Rat(1, 5)), lin_tree([Rat(-2, 5)], Rat(1, 7)))
     t = compose(f, gs)
@@ -340,6 +347,26 @@ def test_modulus_examples():
     assert modulus(lin_tree([Rat(1, 4)], Rat(1, 5)), 1) == 0
     with pytest.raises(DomainError):
         modulus(lin_tree([Rat(1, 2)], 0), -1)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [modulus, lambda t, k: check_productive(t, k, 4)],
+    ids=["modulus", "check_productive"],
+)
+def test_sweep_past_recursion_limit_is_refused(sweep):
+    # each write nests a stack frame, so k = 10^6 can never finish: refused
+    # before the k + 1 per-level memos are allocated or a node expanded
+    t = lin_tree([Rat(1, 2)], 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="recursion limit"):
+            sweep(t, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not t.expanded
 
 
 def test_modulus_soundness_sampled():

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from sdreal import digitsys
 from sdreal.ctree import (
+    DigitalSystem,
+    MirrorRead,
     ReadNode,
     WriteNode,
     apply,
+    build_tree,
     check_productive,
     compose,
     eval_at,
@@ -17,9 +20,7 @@ from sdreal.ctree import (
     modulus,
 )
 from sdreal.digitsys import (
-    DigitalSystem,
     ModulusEvaluator,
-    build_tree,
     iterate_tree,
     lin_tree,
     logistic_tree,
@@ -246,8 +247,8 @@ def test_quad_tree_fig1_root():
     assert node.digit is N
 
 
-# the rational quadratic step rule, at reference speed: _QuadTree's integer
-# unfold must equal it node for node
+# the rational quadratic step rule, at reference speed: the integer
+# _quad_step must unfold to it node for node
 
 
 def _quad_test(state, e):
@@ -317,6 +318,44 @@ def test_quad_tree_matches_rational_rule(uvw):
     t, ref = quad_tree(*uvw), quad_reference(*uvw)
     assert same_nodes(t, ref, 9)
     assert lowest_terms(t) and same_sharing(t, ref)
+
+
+@st.composite
+def half_even_quadratics(draw):
+    """Quadratics on the 1/8 grid, half of them even: u x^2 + m, u != 0
+    unless m = +-1 leaves no room."""
+    if draw(st.booleans()):
+        return draw(quadratics())
+    m = Rat(draw(st.integers(-8, 8)), 8)
+    sign = draw(st.sampled_from((-1, 1)))
+    u = sign * (1 - sign * m) * Rat(draw(st.integers(1, 8)), 8)
+    return u, Rat(0), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_even_quadratics())
+def test_quad_mirror_reads_pinned(uvw):
+    # same_nodes ignores node classes: here a read within depth 9 is a
+    # MirrorRead exactly when its state's V is 0, so an unfold that
+    # rebuilt read nodes instead of filling in the step's own would fail
+    seen, level, mirrors = set(), [quad_tree(*uvw)], 0
+    for _ in range(9):
+        nxt = []
+        for t in level:
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            node = t.root
+            if type(node) is WriteNode:
+                nxt.append(node.next)
+                continue
+            assert type(node) is (MirrorRead if t.state[1] == 0 else ReadNode)
+            mirrors += type(node) is MirrorRead
+            nxt.extend(node.branches)
+        level = nxt
+    u, v, _ = uvw
+    if v == 0 and u != 0:
+        assert mirrors > 0
 
 
 def test_quad_degenerate_is_linear():

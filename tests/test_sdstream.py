@@ -24,7 +24,7 @@ from sdreal.sdstream import (
     sigma_approx,
 )
 
-from conftest import to_rat, within
+from conftest import within
 
 rationals_in_I = st.fractions(min_value=-1, max_value=1, max_denominator=512)
 
@@ -128,18 +128,17 @@ def test_from_digits_prefix():
 
 @given(rationals_in_I, st.integers(0, 24), st.integers(0, 24))
 @settings(max_examples=150, deadline=None)
-def test_prefix_monotonicity(qf, n, m):
+def test_prefix_monotonicity(q, n, m):
     if n > m:
         n, m = m, n
-    s = cauchy_to_stream(const_seq(to_rat(qf)))
+    s = cauchy_to_stream(const_seq(q))
     gap = abs(sigma_approx(s, n) - sigma_approx(s, m))
     assert gap <= Rat(1, 2**n) - Rat(1, 2**m)
 
 
 @given(rationals_in_I, st.integers(0, 64))
 @settings(max_examples=150, deadline=None)
-def test_round_trip(qf, n):
-    q = to_rat(qf)
+def test_round_trip(q, n):
     s = cauchy_to_stream(const_seq(q))
     assert within(sigma_approx(s, n), q, n)
 
@@ -170,8 +169,7 @@ def alternating_seq(q):
 # few examples keep this test at a few seconds
 @given(rationals_in_I)
 @settings(max_examples=15, deadline=None)
-def test_cauchy_to_stream_matches_closure_chain_rule(qf):
-    q = to_rat(qf)
+def test_cauchy_to_stream_matches_closure_chain_rule(q):
     for seq in (const_seq, alternating_seq):
         got = cauchy_to_stream(seq(q)).take(200)
         assert got == closure_chain_stream(seq(q)).take(200)
