@@ -21,7 +21,7 @@ from .ctree import DigitalSystem, MirrorRead, ReadNode, WriteNode
 from .ctree import build_tree, check_depth, compose
 from .errors import DomainError
 from .rationals import Rat
-from .sdstream import DIGITS, select_digit
+from .sdstream import DIGITS, _shifted_digit
 
 N, Z, P = DIGITS
 
@@ -247,8 +247,8 @@ def tree_from_modulus(ev):
         if least is None:
             least = need[j] = _halvings(Rat(ev.modulus(Rat(1, 4 << j))))
         if p >= least:
-            q = (1 << j) * ev.approx(Rat(m, 1 << p), Rat(1, 1 << p)) - t
-            d = select_digit(q)
+            q = ev.approx(Rat(m, 1 << p), Rat(1, 1 << p))
+            d = _shifted_digit(q, j, t)
             return WriteNode(d, (m, p, j + 1, 2 * t + d))
         return ReadNode(1, tuple((2 * m + d, p + 1, j, t) for d in DIGITS))
 

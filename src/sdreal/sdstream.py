@@ -26,9 +26,6 @@ class SignedDigit(enum.IntEnum):
 N, Z, P = SignedDigit.N, SignedDigit.Z, SignedDigit.P
 DIGITS = (N, Z, P)
 
-_QUARTER = Rat(1, 4)
-
-
 class DigitStream:
     """Infinite signed-digit stream with a cached, lazily forced tail.
 
@@ -40,7 +37,7 @@ class DigitStream:
     __slots__ = ("head", "_tail", "_thunk")
 
     def __init__(self, head, tail):
-        self.head = SignedDigit(head)
+        self.head = head if type(head) is SignedDigit else SignedDigit(head)
         if callable(tail):
             self._tail = None
             self._thunk = tail
@@ -128,11 +125,14 @@ def sigma_approx(s, n):
 def select_digit(q):
     """First digit of a point known to within 1/4: P if q > 1/4,
     Z if |q| <= 1/4, N otherwise."""
-    if q > _QUARTER:
-        return P
-    if abs(q) <= _QUARTER:
-        return Z
-    return N
+    return _shifted_digit(Rat(q), 0, 0)
+
+
+def _shifted_digit(q, k, t):
+    """select_digit(2^k * q - t), in integers (see cauchy_to_stream)."""
+    den = q.denominator
+    v = 4 * ((q.numerator << k) - t * den)
+    return P if v > den else Z if v >= -den else N
 
 
 def const_seq(q):
@@ -154,12 +154,15 @@ def cauchy_to_stream(f):
 
         g_k(n) = 2^k * f(n+k) - t_k,   t_0 = 0,   t_{k+1} = 2*t_k + e_k,
 
-    so digit k is select_digit(2^k * f(k+2) - t_k).  Each digit costs one
-    query of `f` and constant stack depth.
+    so digit k is select_digit(2^k * f(k+2) - t_k).  With f(k+2) = n/den,
+    den > 0, that residual is v/den for v = (n << k) - t_k*den, and the
+    digit is P if 4v > den, Z if 4v >= -den, N otherwise: select_digit's
+    tests against 1/4, multiplied by den.  Each digit costs one query of
+    `f`, no rational arithmetic, and constant stack depth.
     """
 
     def step(k, t):
-        d = select_digit(2**k * f(k + 2) - t)
-        return DigitStream(d, lambda: step(k + 1, 2 * t + int(d)))
+        d = _shifted_digit(f(k + 2), k, t)
+        return DigitStream(d, lambda: step(k + 1, 2 * t + d))
 
     return step(0, 0)

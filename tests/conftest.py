@@ -4,6 +4,7 @@ import pytest
 
 from sdreal.ctree import ReadNode, WriteNode
 from sdreal.rationals import Rat
+from sdreal.sdstream import N, P, Z
 
 # rationals exercised by most semantic-agreement checks
 GRID = [
@@ -27,6 +28,17 @@ def grid():
 def within(a, b, n):
     """|a - b| <= 2^-n for exact rationals."""
     return abs(a - b) * 2**n <= 1
+
+
+def quarter_rule(q):
+    """Reference rule: select_digit as it compared Fractions with 1/4
+    before its integer test, kept verbatim."""
+    quarter = Rat(1, 4)
+    if q > quarter:
+        return P
+    if abs(q) <= quarter:
+        return Z
+    return N
 
 
 def same_nodes(a, b, depth):

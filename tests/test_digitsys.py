@@ -46,10 +46,9 @@ from sdreal.sdstream import (
     SignedDigit,
     constant,
     digits_str,
-    select_digit,
 )
 
-from conftest import GRID, same_nodes, within
+from conftest import GRID, quarter_rule, same_nodes, within
 
 
 def digits_of(t, n, at=None):
@@ -468,7 +467,7 @@ def modulus_reference(ev):
         eps = Rat(1, 4 * 2**j)
         if ev.modulus(eps) >= r:
             q = 2**j * ev.approx(c, r) - t
-            d = select_digit(q)
+            d = quarter_rule(q)
             return WriteNode(d, (c, r, j + 1, 2 * t + int(d)))
         return ReadNode(
             1,

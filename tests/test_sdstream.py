@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdreal.errors import DomainError
@@ -24,7 +24,7 @@ from sdreal.sdstream import (
     sigma_approx,
 )
 
-from conftest import within
+from conftest import quarter_rule, within
 
 rationals_in_I = st.fractions(min_value=-1, max_value=1, max_denominator=512)
 
@@ -173,6 +173,61 @@ def test_cauchy_to_stream_matches_closure_chain_rule(q):
     for seq in (const_seq, alternating_seq):
         got = cauchy_to_stream(seq(q)).take(200)
         assert got == closure_chain_stream(seq(q)).take(200)
+
+
+def shifted_reference_stream(f, count):
+    """Reference rule: the first `count` digits by the Fraction step
+    cauchy_to_stream used before its integer test, kept verbatim, with
+    t <- 2t + d."""
+    out, t = [], 0
+    for k in range(count):
+        d = quarter_rule(2**k * f(k + 2) - t)
+        out.append(d)
+        t = 2 * t + int(d)
+    return out
+
+
+def tie_seq(q):
+    """A fast Cauchy sequence for q, q + (-1)^n 2^-n, whose shifted
+    residual at digit k is 2^k q - t_k -+ 1/4: once a dyadic q is used up,
+    every digit is a tie at +-1/4."""
+    return lambda n: q + Rat((-1) ** n, 2**n)
+
+
+dyadics_in_I = st.integers(0, 12).flatmap(
+    lambda m: st.integers(-(2**m), 2**m).map(lambda j: Fraction(j, 2**m))
+)
+
+
+@given(dyadics_in_I)
+@example(Rat(0))
+@example(Rat(1, 4))
+@example(Rat(-1, 4))
+@example(Rat(-5, 8))
+@settings(max_examples=40, deadline=None)
+def test_integer_digits_match_fraction_rule(q):
+    for seq in (const_seq, alternating_seq, tie_seq):
+        got = cauchy_to_stream(seq(q)).take(300)
+        assert got == shifted_reference_stream(seq(q), 300)
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1])
+def test_integer_digits_of_an_int_sequence(q):
+    def f(n):
+        return q
+
+    got = cauchy_to_stream(f).take(300)
+    assert got == shifted_reference_stream(f, 300)
+    assert all(type(d) is SignedDigit for d in got)
+
+
+def test_digit_stream_converts_int_heads():
+    s = constant(Z)
+    assert DigitStream(1, s).head is P
+    assert DigitStream(P, s).head is P
+    with pytest.raises(ValueError):
+        DigitStream(2, s)
+    assert digits_str(from_digits([1, 0, -1]).take(4)) == "PZNZ"
 
 
 def test_rat_str():
