@@ -81,19 +81,13 @@ def _compile(args):
     return to_tree(expr)
 
 
-def _print_value(out, value, prec, decimals):
-    print(rat_str(value), file=out)
-    if decimals:
-        print(
-            f"{decimal_str(value, decimals)} (+-2^-{prec})",
-            file=out,
-        )
-
-
 def _cmd_eval(args, out):
     t = _compile(args)
     value = eval_at(t, parse_rat(args.at), args.prec)
-    _print_value(out, value, args.prec, args.decimal)
+    text = rat_str(value) + "\n"
+    if args.decimal:
+        text += f"{decimal_str(value, args.decimal)} (+-2^-{args.prec})\n"
+    out.write(text)
 
 
 def _cmd_digits(args, out):
@@ -104,16 +98,12 @@ def _cmd_digits(args, out):
 def _cmd_integrate(args, out):
     t = _compile(args)
     res = integral(t, args.prec, max_nodes=args.max_nodes)
-    print(
-        f"{rat_str(res.value)} (error bound {rat_str(res.error_bound)})",
-        file=out,
-    )
+    text = f"{rat_str(res.value)} (error bound {rat_str(res.error_bound)})\n"
     if args.decimal:
-        print(
-            f"{decimal_str(res.value, args.decimal)} "
-            f"(+-2^{1 - args.prec})",
-            file=out,
+        text += (
+            f"{decimal_str(res.value, args.decimal)} (+-2^{1 - args.prec})\n"
         )
+    out.write(text)
 
 
 def _cmd_tree(args, out):

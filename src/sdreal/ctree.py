@@ -10,19 +10,19 @@ Trees are values: the node behind a CTree is computed on first demand and
 cached, and builders share subtrees freely, so what unfolds at runtime is
 a DAG.  That cache is the memoization the whole package leans on —
 repeating an evaluation expands nothing new.  Composition shares too:
-each (f-position, inner trees) state owns one tree object, so paths that
-meet in a state expand it once.
+each (f-position, pending input digits, inner trees) state owns one tree
+object, so paths that meet in a state expand it once.
 
 Trees and families.  Every tree is one state of a family: a slotless
 CTree subclass made by `family`, whose class attributes (arity, stats and,
 when states are shared, memo) all its trees share.  A tree stores only its
-cached node and its state.  Every family but one is a digital system
-unfolded by `build_tree`: a step maps a state to a write or read node
-whose children are successor states, and the unfold looks each one up in
-the family's memo.  `lin_tree`, `quad_tree`, `tree_from_modulus`,
-`compose` and `constant_tree` are all such systems.  The exception is the
-fed tree of `feed_digit` (see `_Fed`).  CTree itself is not constructed
-directly.
+cached node and its state.  Every family in the package is a digital
+system unfolded by `build_tree`: a step maps a state to a write or read
+node whose children are successor states, and the unfold looks each one
+up in the family's memo.  `lin_tree`, `quad_tree`, `tree_from_modulus`,
+`compose`, `feed_digit` and `constant_tree` are all such systems.  CTree
+itself is not constructed directly; its generic `root`, which calls a
+subclass's `_expand`, serves families defined outside the package.
 """
 
 import gc
@@ -56,9 +56,6 @@ class ReadNode:
     def __init__(self, index, branches):
         self.index = index
         self.branches = branches  # (N-branch, Z-branch, P-branch)
-
-    def branch(self, d):
-        return self.branches[int(d) + 1]
 
 
 class MirrorRead(ReadNode):
@@ -259,48 +256,53 @@ def digits_at(t, q, count):
         return _at_point(t, q).take(count)
 
 
+def _advance(g, queues):
+    """g moved past the reads its queued input digits answer, as (g, node,
+    queues) with node = g.root a write or a read of an input whose queue
+    is empty.  queues[j] holds the digits fed to input j+1, first first."""
+    node = g.root
+    while type(node) is not WriteNode and queues[node.index - 1]:
+        j = node.index - 1
+        g = node.branches[queues[j][0] + 1]
+        queues = queues[:j] + (queues[j][1:],) + queues[j + 1 :]
+        node = g.root
+    return g, node, queues
+
+
 def feed_digit(t, i, d):
     """Pre-compose input i with x -> (x+d)/2: the tree that behaves as if
-    digit d had already been read from input i.
-
-    Writes commute out; a read on input i consumes the digit and feeding
-    stops on that path; reads on other inputs commute branch-wise.
+    digit d had already been read from input i.  A digital system over
+    (g, queues), g with its unread fed digits, as in `compose`.
     """
     if not 1 <= i <= t.arity:
         raise DomainError(f"input index {i} out of range 1..{t.arity}")
-    fed = family(_Fed, t.arity, ExpansionStats(parents=(t.stats,)))
-    return fed((t, i, SignedDigit(d)))
 
+    def step(state):
+        g, node, queues = _advance(*state)
+        if type(node) is WriteNode:
+            return WriteNode(node.digit, (node.next, queues))
+        # this input's queue is empty, so a unary g is fed no more and its
+        # MirrorRead stays one
+        succ = tuple((b, queues) for b in node.branches)
+        return type(node)(node.index, succ)
 
-class _Fed(CTree):
-    """The state (sub, i, d): tree sub with digit d fed to input i; compose
-    shares its stats with its fed trees.  The one family with no memo and
-    no step: where sub reads input i, the node is another tree's (the
-    branch d selects), which a step returning states cannot say."""
-
-    __slots__ = ()
-
-    def _expand(self):
-        cls = self.__class__
-        sub, i, d = self.state
-        node = sub.root
-        if isinstance(node, WriteNode):
-            return WriteNode(node.digit, cls((node.next, i, d)))
-        if node.index == i:
-            return node.branch(d).root
-        return ReadNode(node.index, tuple(cls((b, i, d)) for b in node.branches))
+    queues = ((),) * (i - 1) + ((SignedDigit(d),),) + ((),) * (t.arity - i)
+    stats = ExpansionStats((t.stats,))
+    return _unfold(DigitalSystem(t.arity, step), (t, queues), stats)
 
 
 def compose(f, gs):
     """The tree realizing f(g_1,...,g_n); all g_i share one arity m.
 
-    A digital system over the states (fpos, cur): the tree at the current
-    position in f and the tuple of current inner trees.  f-writes are
-    emitted; an f-read of input i inspects g_i — a g_i-write resolves the
-    read immediately, a g_i-read is emitted, with every other g_k
-    pre-composed with the digit just consumed (feed_digit).  States hash
-    by tree identity, so a state reached along several paths is expanded
-    once.
+    A digital system over the flat states (fpos, pending, g_1, ..., g_n):
+    the tree at the current position in f, the digits fed to the inner
+    trees and not yet read (None until a digit is fed, then pending[k] is
+    g_k's queues, see `_advance`), and the inner trees, each a node of an
+    unfed tree.  f-writes are emitted; an f-read of input i moves g_i past
+    its pending reads: a g_i-write resolves the read, a g_i-read of input
+    j is emitted, and each successor takes g_i's branch and queues its
+    digit on input j of every other g_k.  States hash by tree identity and
+    queue contents, so a state reached along several paths expands once.
     """
     gs = tuple(gs)
     if len(gs) != f.arity:
@@ -310,32 +312,46 @@ def compose(f, gs):
     m = gs[0].arity
     if any(g.arity != m for g in gs):
         raise DomainError("inner trees must share one arity")
+    siblings = len(gs) > 1
+    unfed = (((),) * m,) * len(gs)
 
-    stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
-    fed = family(_Fed, m, stats)
+    def fed(pending, i, j, e):  # e queued on input j+1 of every g_k but g_i
+        return tuple(
+            qs if k == i else qs[:j] + (qs[j] + (e,),) + qs[j + 1 :]
+            for k, qs in enumerate(pending or unfed)
+        )
 
     def step(state):
-        fpos, cur = state
+        fpos, pending, *cur = state
         while True:
             node = fpos.root
             if type(node) is WriteNode:
-                return WriteNode(node.digit, (node.next, cur))
+                return WriteNode(node.digit, (node.next, pending, *cur))
             i = node.index - 1
-            gnode = cur[i].root
+            if pending is None:
+                gnode = cur[i].root
+            else:
+                cur[i], gnode, qs = _advance(cur[i], pending[i])
+                pending = pending[:i] + (qs,) + pending[i + 1 :]
             if type(gnode) is WriteNode:
-                fpos = node.branches[int(gnode.digit) + 1]
-                cur = cur[:i] + (gnode.next,) + cur[i + 1 :]
+                fpos = node.branches[gnode.digit + 1]
+                cur[i] = gnode.next
                 continue
             j = gnode.index
-            return ReadNode(j, tuple(
-                (fpos, tuple(
-                    gnode.branch(e) if k == i else fed((g, j, e))
-                    for k, g in enumerate(cur)
-                ))
-                for e in DIGITS
-            ))
+            if siblings:
+                pn, pz, pp = (fed(pending, i, j - 1, e) for e in DIGITS)
+            else:
+                pn = pz = pp = pending
+            n, z, p = gnode.branches
+            cur[i] = n
+            sn = (fpos, pn, *cur)
+            cur[i] = z
+            sz = (fpos, pz, *cur)
+            cur[i] = p
+            return ReadNode(j, (sn, sz, (fpos, pp, *cur)))
 
-    return _unfold(DigitalSystem(m, step), (f, gs), stats)
+    stats = ExpansionStats((f.stats,) + tuple(g.stats for g in gs))
+    return _unfold(DigitalSystem(m, step), (f, None, *gs), stats)
 
 
 def check_depth(depth, what):
@@ -346,6 +362,20 @@ def check_depth(depth, what):
         raise ResourceLimitError(
             f"{what} {depth} exceeds the recursion limit ({limit} frames)"
         )
+
+
+def _sweep(go, t, *args, what):
+    """go(t.root, *args) with the collector paused.  go recurses a frame
+    per node, so a walk deeper than the recursion limit is a resource
+    limit."""
+    with collector_paused():
+        try:
+            return go(t.root, *args)
+        except RecursionError:
+            raise ResourceLimitError(
+                f"{what} exceeded the recursion limit "
+                f"({getrecursionlimit()} frames)"
+            ) from None
 
 
 def modulus(t, k):
@@ -367,15 +397,15 @@ def modulus(t, k):
         got = seen.get(id(node))
         if got is not None:
             return got
-        if isinstance(node, WriteNode):
+        if type(node) is WriteNode:
             res = go(node.next.root, k - 1)
         else:
-            res = 1 + max(go(b.root, k) for b in node.branches)
+            n, z, p = node.branches
+            res = 1 + max(go(n.root, k), go(z.root, k), go(p.root, k))
         seen[id(node)] = res
         return res
 
-    with collector_paused():
-        return go(t.root, k)
+    return _sweep(go, t, k, what=f"modulus depth {k}")
 
 
 def check_productive(t, k_writes, max_reads):
@@ -397,19 +427,23 @@ def check_productive(t, k_writes, max_reads):
         got = seen.get(key)
         if got is not None:
             return got
-        if isinstance(node, WriteNode):
+        if type(node) is WriteNode:
             res = go(node.next.root, writes_left - 1, max_reads)
         elif reads_left == 0:
             res = False
         else:
-            res = all(
-                go(b.root, writes_left, reads_left - 1) for b in node.branches
+            n, z, p = node.branches
+            res = (
+                go(n.root, writes_left, reads_left - 1)
+                and go(z.root, writes_left, reads_left - 1)
+                and go(p.root, writes_left, reads_left - 1)
             )
         seen[key] = res
         return res
 
-    with collector_paused():
-        return go(t.root, k_writes, max_reads)
+    return _sweep(
+        go, t, k_writes, max_reads, what=f"productivity depth {k_writes}"
+    )
 
 
 RENDER_MAX_NODES = 100_000

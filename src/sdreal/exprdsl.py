@@ -22,7 +22,7 @@ from .ctree import compose
 from .digitsys import iterate_tree, lin_tree, logistic_tree, quad_tree
 from .errors import ParseError
 from .oracle import Comp, Lin, Logistic, Pow, Quad
-from .rationals import Rat, rat_str
+from .rationals import Rat, digit_limit_error, rat_str
 
 _TOKEN = re.compile(
     r"\s*(?P<num>\d+\.\d+|\d+|\.\d+)"
@@ -43,6 +43,9 @@ def _tokenize(src):
             break
         if m.group("bad") is not None:
             raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad") + 1)
+        error = m.group("num") and digit_limit_error(m.group("num"))
+        if error:
+            raise ParseError(error, m.start("num") + 1)
         for kind in ("num", "name", "sym"):
             text = m.group(kind)
             if text is not None:

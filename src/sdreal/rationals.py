@@ -6,9 +6,45 @@ rational in lowest terms with a positive denominator: a stdlib
 Python ints.
 """
 
+import re
+import sys
 from fractions import Fraction
 
+from .errors import DomainError
+
 Rat = Fraction
+
+# digits per int-to-str conversion, below the smallest limit Python lets
+# a process set on them (640 digits)
+_PIECE = 600
+_PIECE_BASE = 10**_PIECE
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def digit_limit_error(text):
+    """The reason to refuse `text` when one of its runs of digits is longer
+    than Python converts to an int (4300 digits unless the process set
+    another limit), else None."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
+    if limit and longest > limit:
+        return (
+            f"a number with a run of {longest} digits exceeds the limit "
+            f"of {limit} digits"
+        )
+    return None
+
+
+def _int_str(n, width):
+    """Non-negative int n in decimal, zero-padded to `width` digits, built
+    from pieces short enough for any int-to-str limit."""
+    pieces = []
+    while width > _PIECE or n >= _PIECE_BASE:
+        n, low = divmod(n, _PIECE_BASE)
+        pieces.append(f"{low:0{_PIECE}d}")
+        width -= _PIECE
+    pieces.append(f"{n:0{max(width, 1)}d}")
+    return "".join(reversed(pieces))
 
 
 def rat_str(q):
@@ -21,8 +57,12 @@ def parse_rat(text):
     """Parse ``p/q``, an integer, or a decimal literal, all exactly.
 
     ``1.5`` becomes 3/2 and ``0.7`` becomes 7/10; no binary rounding
-    happens anywhere.
+    happens anywhere.  A run of digits over the int-conversion limit (see
+    `digit_limit_error`) is a DomainError.
     """
+    error = digit_limit_error(text)
+    if error:
+        raise DomainError(error)
     return Fraction(text.strip())
 
 
@@ -40,7 +80,7 @@ def decimal_str(q, digits):
     scaled, rem = divmod(num * 10**digits, den)
     if 2 * rem >= den:
         scaled += 1
+    text = _int_str(scaled, digits + 1)
     if digits == 0:
-        return f"{sign}{scaled}"
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+        return f"{sign}{text}"
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"

@@ -1,8 +1,10 @@
 import gc
 import io
+import sys
 
 import pytest
 
+from sdreal import cli
 from sdreal.cli import float_iterate, main
 from sdreal.exprdsl import MAX_NESTING
 from sdreal.rationals import Rat, parse_rat
@@ -31,6 +33,59 @@ def test_eval_decimal_annotated():
     lines = out.splitlines()
     assert lines[0] == "145/512"
     assert lines[1] == "0.2832 (+-2^-10)"
+
+
+def test_eval_decimal_past_int_str_limit():
+    # Python turns at most 4300 digits into one string by default
+    code, out = run(
+        "eval", "lin(1/4,1/5)", "--at", "1/3", "--prec", "10",
+        "--decimal", "5000",
+    )
+    assert code == 0
+    # 145/512 is 283203125/10^9 exactly
+    assert out == "145/512\n0." + "283203125".ljust(5000, "0") + " (+-2^-10)\n"
+
+
+def test_integrate_decimal_past_int_str_limit():
+    code, out = run(
+        "integrate", "logistic(3/2)", "--prec", "10", "--decimal", "9000"
+    )
+    assert code == 0
+    # -115/2^21 is -(115 * 5^21)/10^21 exactly
+    digits = f"{115 * 5**21:021d}".ljust(9000, "0")
+    assert out == f"-115/2097152 (error bound 1/512)\n-0.{digits} (+-2^-9)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "lin(1/4,1/5)", "--at", "1/3", "--prec", "10"),
+        ("integrate", "logistic(3/2)", "--prec", "10"),
+    ],
+)
+def test_failed_rendering_prints_nothing(argv, monkeypatch, capsys):
+    # the whole output is built before any of it is printed
+    def refuse(q, digits):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(cli, "decimal_str", refuse)
+    code, out = run(*argv, "--decimal", "4")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: cannot render\n"
+
+
+@pytest.mark.parametrize("where", ["--at", "expression"])
+def test_long_literal_is_refused_in_own_words(where, capsys):
+    limit = sys.get_int_max_str_digits()
+    literal = "0." + "1" * (limit + 700)
+    expr, at = "lin(1/2,0)", literal
+    if where == "expression":
+        expr, at = f"lin({literal},0)", "1/3"
+    code, out = run("eval", expr, "--at", at, "--prec", "10")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"a run of {limit + 700} digits exceeds the limit of {limit}" in err
+    assert "sys." not in err and "Traceback" not in err
 
 
 def test_digits():

@@ -210,6 +210,25 @@ class Thunk(CTree):
         return self.state()
 
 
+def feed_unshared(t, i, d):
+    # reference rule for feed_digit: one fed digit per tree and no memo;
+    # where t reads input i, the node is the one the digit selects
+    thunks = family(Thunk, t.arity, ExpansionStats((t.stats,)))
+
+    def expand(sub):
+        node = sub.root
+        if isinstance(node, WriteNode):
+            return WriteNode(node.digit, fed(node.next))
+        if node.index == i:
+            return node.branches[int(d) + 1].root
+        return ReadNode(node.index, tuple(fed(b) for b in node.branches))
+
+    def fed(sub):
+        return thunks(lambda: expand(sub))
+
+    return fed(t)
+
+
 def compose_unshared(f, gs):
     # reference rule without sharing: a fresh CTree per visit to a state,
     # so the result unfolds as a tree; compose must equal it node for node
@@ -237,7 +256,8 @@ def compose_unshared(f, gs):
 
                 def mk(e, node=node, cur=cur, i=i, gnode=gnode, j=j):
                     new = tuple(
-                        gnode.branch(e) if k == i else feed_digit(g, j, e)
+                        gnode.branches[int(e) + 1] if k == i
+                        else feed_unshared(g, j, e)
                         for k, g in enumerate(cur)
                     )
                     return comp(node, new)
@@ -285,15 +305,41 @@ def test_compose_matches_unshared_rule(f, g, h):
 
 
 binary_lins = l1_ball(3).map(lambda c: lin_tree(c[:2], c[2]))
+ternary_lins = l1_ball(4).map(lambda c: lin_tree(c[:3], c[3]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(
+        binary_lins,
+        st.tuples(unary_trees, unary_trees)
+        | st.tuples(binary_lins, binary_lins),
+    )
+    # three inner trees: a read queues its digit on two siblings
+    | st.tuples(
+        ternary_lins,
+        st.tuples(unary_trees, unary_trees, unary_trees)
+        | st.tuples(binary_lins, binary_lins, binary_lins),
+    )
+)
+def test_compose_binary_outer_matches_unshared_rule(case):
+    f, gs = case
+    assert same_nodes(compose(f, gs), compose_unshared(f, gs), 8)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    binary_lins,
-    st.tuples(unary_trees, unary_trees) | st.tuples(binary_lins, binary_lins),
+    unary_trees.map(lambda t: (t, 1)) | binary_lins.map(lambda t: (t, 2)),
+    st.lists(st.sampled_from(DIGITS), min_size=1, max_size=3),
 )
-def test_compose_binary_outer_matches_unshared_rule(f, gs):
-    assert same_nodes(compose(f, gs), compose_unshared(f, gs), 8)
+def test_feed_digit_matches_unshared_rule(tree_arity, digits):
+    # a tree fed several digits reads them in the order they were fed
+    t, arity = tree_arity
+    fed, reference = t, t
+    for n, d in enumerate(digits):
+        i = 1 + n % arity
+        fed, reference = feed_digit(fed, i, d), feed_unshared(reference, i, d)
+        assert same_nodes(fed, reference, 7)
 
 
 def test_compose_shares_states():
@@ -304,10 +350,19 @@ def test_compose_shares_states():
     assert expansion_count(t) <= 12_000
 
 
+def test_compose_nary_shares_fed_states():
+    # 87,236 expansions when every fed subtree was a fresh, unmemoized tree
+    f = lin_tree([Rat(1, 2), Rat(1, 2)], 0)
+    gs = (logistic_tree(Rat(19, 10)), lin_tree([Rat(-2, 5)], Rat(1, 7)))
+    t = compose(f, gs)
+    assert modulus(t, 6) == 10
+    assert expansion_count(t) <= 25_000
+
+
 def test_expansion_count_nary_compose(monkeypatch):
-    # the feed_digit trees compose makes for a binary outer tree count too;
-    # digital systems expand through their own root, fed trees through
-    # CTree's, and the counter wraps both
+    # a binary outer tree's composition keeps the digits fed to an inner
+    # tree in its own state, so every expansion is of a digital system's
+    # tree; the counter wraps CTree's generic root too, should one show up
     expansions = [0]
 
     def counted(plain):
@@ -367,6 +422,21 @@ def test_sweep_past_recursion_limit_is_refused(sweep):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert not t.expanded
+
+
+@pytest.mark.parametrize(
+    "sweep, value",
+    [(modulus, 400), (lambda t, k: check_productive(t, k, 3), True)],
+    ids=["modulus", "check_productive"],
+)
+def test_sweep_nests_a_frame_per_node(sweep, value, collector_on):
+    # a write and a read per output digit: two frames a digit fit k = 400
+    # in the default recursion limit; k = 900 does not, and is a resource
+    # limit, not a bare RecursionError
+    assert sweep(lin_tree([Rat(1, 2)], 0), 400) == value
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        sweep(lin_tree([Rat(1, 2)], 0), 900)
+    assert gc.isenabled()
 
 
 def test_modulus_soundness_sampled():
