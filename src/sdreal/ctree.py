@@ -13,16 +13,14 @@ repeating an evaluation expands nothing new.  Composition shares too:
 each (f-position, pending input digits, inner trees) state owns one tree
 object, so paths that meet in a state expand it once.
 
-Trees and families.  Every tree is one state of a family: a slotless
-CTree subclass made by `family`, whose class attributes (arity, stats and,
-when states are shared, memo) all its trees share.  A tree stores only its
-cached node and its state.  Every family in the package is a digital
-system unfolded by `build_tree`: a step maps a state to a write or read
-node whose children are successor states, and the unfold looks each one
-up in the family's memo.  `lin_tree`, `quad_tree`, `tree_from_modulus`,
-`compose`, `feed_digit` and `constant_tree` are all such systems.  CTree
-itself is not constructed directly; its generic `root`, which calls a
-subclass's `_expand`, serves families defined outside the package.
+Trees and families.  Every tree is one state of a digital system: a step
+maps a state to a write or read node whose children are successor states.
+`build_tree` gives each system its family, a slotless CTree subclass whose
+class attributes (arity, step, memo, stats) all its trees share, so a tree
+stores only its state and cached node.  `CTree.root` is the one unfold: it
+calls the step once and looks each successor state up in the family's memo.
+`lin_tree`, `quad_tree`, `tree_from_modulus`, `compose`, `feed_digit` and
+`constant_tree` are all such systems.
 """
 
 import gc
@@ -94,39 +92,6 @@ class ExpansionStats:
         return acc
 
 
-class CTree:
-    """n-ary continuity tree: one state of a family, with deferred, cached
-    root expansion.  Subclasses made by `family` supply arity and stats,
-    and `_expand`, the node of `self.state`, which `root` calls once
-    (`_SysTree` overrides `root` instead)."""
-
-    __slots__ = ("_node", "state")
-
-    def __init__(self, state):
-        self._node = None
-        self.state = state
-
-    @property
-    def root(self):
-        node = self._node
-        if node is None:
-            node = self._node = self._expand()
-            self.stats.count += 1
-        return node
-
-    @property
-    def expanded(self):
-        return self._node is not None
-
-
-def family(base, arity, stats, **attrs):
-    """A new family of `base` trees: a slotless subclass holding arity,
-    stats and `attrs` (such as memo) as class attributes, so each tree
-    stores only its node and state."""
-    attrs.update(__slots__=(), arity=arity, stats=stats)
-    return type(base.__name__, (base,), attrs)
-
-
 @dataclass(frozen=True)
 class DigitalSystem:
     """step(state) returns a fresh node naming successor states in place
@@ -138,14 +103,17 @@ class DigitalSystem:
     step: Callable
 
 
-class _SysTree(CTree):
-    """One state of a digital system, whose step is a family attribute.
+class CTree:
+    """n-ary continuity tree: one state of a digital system, its node
+    expanded on first demand and cached.  The family class `build_tree`
+    makes holds arity, step, memo and stats.  `root` calls the step itself,
+    so a walk through n composed layers nests two frames per layer."""
 
-    `root` calls the step itself rather than through `_expand`: a walk
-    through n composed layers then nests two frames per layer, `root`
-    and the composition's step, not three."""
+    __slots__ = ("_node", "state")
 
-    __slots__ = ()
+    def __init__(self, state):
+        self._node = None
+        self.state = state
 
     @property
     def root(self):
@@ -168,19 +136,24 @@ class _SysTree(CTree):
             cls.stats.count += 1
         return node
 
+    @property
+    def expanded(self):
+        return self._node is not None
 
-def _unfold(system, start, stats):
-    fam = family(_SysTree, system.arity, stats, memo={}, step=system.step)
-    return fam.memo.setdefault(start, fam(start))
 
-
-def build_tree(system, start):
+def build_tree(system, start, parents=()):
     """Unfold a digital system from `start` into a lazy tree.
 
     States key a memo, so they must be hashable: each distinct state owns
-    exactly one tree object, cached after its first expansion.
+    exactly one tree object, cached after its first expansion.  `parents`
+    are the stats of the trees the system's states hold, so that
+    `expansion_count` includes their expansions too.
     """
-    return _unfold(system, start, ExpansionStats())
+    cls = type("CTree", (CTree,), dict(
+        __slots__=(), arity=system.arity, step=system.step, memo={},
+        stats=ExpansionStats(parents),
+    ))
+    return cls.memo.setdefault(start, cls(start))
 
 
 @contextmanager
@@ -287,8 +260,7 @@ def feed_digit(t, i, d):
         return type(node)(node.index, succ)
 
     queues = ((),) * (i - 1) + ((SignedDigit(d),),) + ((),) * (t.arity - i)
-    stats = ExpansionStats((t.stats,))
-    return _unfold(DigitalSystem(t.arity, step), (t, queues), stats)
+    return build_tree(DigitalSystem(t.arity, step), (t, queues), (t.stats,))
 
 
 def compose(f, gs):
@@ -350,8 +322,8 @@ def compose(f, gs):
             cur[i] = p
             return ReadNode(j, (sn, sz, (fpos, pp, *cur)))
 
-    stats = ExpansionStats((f.stats,) + tuple(g.stats for g in gs))
-    return _unfold(DigitalSystem(m, step), (f, None, *gs), stats)
+    parents = (f.stats,) + tuple(g.stats for g in gs)
+    return build_tree(DigitalSystem(m, step), (f, None, *gs), parents)
 
 
 def check_depth(depth, what):

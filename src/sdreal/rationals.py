@@ -57,13 +57,17 @@ def parse_rat(text):
     """Parse ``p/q``, an integer, or a decimal literal, all exactly.
 
     ``1.5`` becomes 3/2 and ``0.7`` becomes 7/10; no binary rounding
-    happens anywhere.  A run of digits over the int-conversion limit (see
-    `digit_limit_error`) is a DomainError.
+    happens anywhere.  A zero denominator, or a run of digits over the
+    int-conversion limit (see `digit_limit_error`), is a DomainError.
     """
+    text = text.strip()
     error = digit_limit_error(text)
     if error:
         raise DomainError(error)
-    return Fraction(text.strip())
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError(f"{text} has a zero denominator") from None
 
 
 def decimal_str(q, digits):

@@ -88,6 +88,22 @@ def test_long_literal_is_refused_in_own_words(where, capsys):
     assert "sys." not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "lin(1/2,0)", "--at", "1/0", "--prec", "3"),
+        ("digits", "lin(1/2,0)", "--at", "1/0", "--count", "3"),
+        ("bench", "lin(1/2,0)", "--at", "-1/0", "--prec", "3"),
+    ],
+    ids=["eval", "digits", "bench"],
+)
+def test_zero_denominator_is_refused_in_own_words(argv, capsys):
+    code, out = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[3]} has a zero denominator\n"
+
+
 def test_digits():
     code, out = run("digits", "quad(-2/3,0,-1/3)", "--at", "0", "--count", "6")
     assert code == 0

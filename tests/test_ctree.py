@@ -14,7 +14,6 @@ from sdreal.ctree import (
     ExpansionStats,
     ReadNode,
     WriteNode,
-    _SysTree,
     apply,
     as_stream,
     build_tree,
@@ -25,7 +24,6 @@ from sdreal.ctree import (
     digits_at,
     eval_at,
     expansion_count,
-    family,
     feed_digit,
     modulus,
     render_ascii,
@@ -202,18 +200,29 @@ def test_compose_binary_outer():
         assert within(eval_at(t, q, 20), want, 20)
 
 
-class Thunk(CTree):
-    # a tree whose state is a closure computing its node
-    __slots__ = ()
+class Thunk:
+    # a tree whose node a closure computes on first demand; it has no
+    # memo, so the reference rules below make one per visit to a state
+    __slots__ = ("_node", "_make", "arity", "stats")
 
-    def _expand(self):
-        return self.state()
+    def __init__(self, make, arity, stats):
+        self._node = None
+        self._make = make
+        self.arity = arity
+        self.stats = stats
+
+    @property
+    def root(self):
+        if self._node is None:
+            self._node = self._make()
+            self.stats.count += 1
+        return self._node
 
 
 def feed_unshared(t, i, d):
     # reference rule for feed_digit: one fed digit per tree and no memo;
     # where t reads input i, the node is the one the digit selects
-    thunks = family(Thunk, t.arity, ExpansionStats((t.stats,)))
+    stats = ExpansionStats((t.stats,))
 
     def expand(sub):
         node = sub.root
@@ -224,24 +233,24 @@ def feed_unshared(t, i, d):
         return ReadNode(node.index, tuple(fed(b) for b in node.branches))
 
     def fed(sub):
-        return thunks(lambda: expand(sub))
+        return Thunk(lambda: expand(sub), t.arity, stats)
 
     return fed(t)
 
 
 def compose_unshared(f, gs):
-    # reference rule without sharing: a fresh CTree per visit to a state,
-    # so the result unfolds as a tree; compose must equal it node for node
+    # reference rule without sharing: a fresh Thunk per visit to a state,
+    # so the result unfolds as a tree; compose must equal it node for node.
+    # fpos is a tree or, after an f-read, the read node itself
     gs = tuple(gs)
     m = gs[0].arity
     stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
-    thunks = family(Thunk, m, stats)
 
     def comp(fpos, cur):
-        return thunks(lambda: expand(fpos, cur))
+        return Thunk(lambda: expand(fpos, cur), m, stats)
 
     def expand(fpos, cur):
-        node = fpos.root if isinstance(fpos, CTree) else fpos
+        node = fpos if isinstance(fpos, (WriteNode, ReadNode)) else fpos.root
         while True:
             if isinstance(node, WriteNode):
                 return WriteNode(node.digit, comp(node.next, cur))
@@ -350,19 +359,76 @@ def test_compose_shares_states():
     assert expansion_count(t) <= 12_000
 
 
-def test_compose_nary_shares_fed_states():
-    # 87,236 expansions when every fed subtree was a fresh, unmemoized tree
+def nary_example():
     f = lin_tree([Rat(1, 2), Rat(1, 2)], 0)
     gs = (logistic_tree(Rat(19, 10)), lin_tree([Rat(-2, 5)], Rat(1, 7)))
-    t = compose(f, gs)
+    return compose(f, gs)
+
+
+def test_compose_nary_shares_fed_states():
+    # 87,236 expansions when every fed subtree was a fresh, unmemoized tree
+    t = nary_example()
     assert modulus(t, 6) == 10
     assert expansion_count(t) <= 25_000
 
 
+def integral_answer(t):
+    res = integral(t, 12)
+    return res.value, res.nodes_visited
+
+
+# exact work through the public API: sharing in the unfold, in compose and
+# in fed states shows up here as a changed count, in either direction
+WORK_PINS = {
+    "eval_pow_logistic_100": (
+        lambda: to_tree(parse("pow(logistic(2),100)")),
+        lambda t: eval_at(t, Rat(7, 10), 100),
+        Rat(1008550774065780194036545699607, 2**100),
+        67_934,
+    ),
+    "digits_3_layer_chain": (
+        lambda: to_tree(
+            parse("lin(1/2,1/2) o (quad(1/2,1/4,0) o logistic(19/10))")
+        ),
+        lambda t: digits_str(digits_at(t, Rat(-7, 10), 60)),
+        "PZZZZZZNZZZPZZPZZNZZPZPPZZZZZPZZNZPZZZZNZZZNZZZPZZZNZZZPPZZN",
+        493,
+    ),
+    "modulus_compose": (
+        lambda: compose(
+            logistic_tree(Rat(19, 10)), (lin_tree([Rat(1, 2)], 0),)
+        ),
+        lambda t: modulus(t, 8),
+        10,
+        7_900,
+    ),
+    "modulus_nary_compose": (
+        nary_example,
+        lambda t: modulus(t, 6),
+        10,
+        16_683,
+    ),
+    "integral_logistic": (
+        lambda: logistic_tree(Rat(3, 2)),
+        integral_answer,
+        (Rat(-1, 131072), 18_277),
+        13_751,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORK_PINS))
+def test_work_pinned(case):
+    build, run, answer, expansions = WORK_PINS[case]
+    t = build()
+    assert run(t) == answer
+    assert expansion_count(t) == expansions
+
+
 def test_expansion_count_nary_compose(monkeypatch):
     # a binary outer tree's composition keeps the digits fed to an inner
-    # tree in its own state, so every expansion is of a digital system's
-    # tree; the counter wraps CTree's generic root too, should one show up
+    # tree in its own state, so every expansion goes through CTree.root,
+    # the one unfold, and the counter wrapped around it sees them all
     expansions = [0]
 
     def counted(plain):
@@ -373,8 +439,7 @@ def test_expansion_count_nary_compose(monkeypatch):
 
         return property(root)
 
-    for cls in (CTree, _SysTree):
-        monkeypatch.setattr(cls, "root", counted(cls.root))
+    monkeypatch.setattr(CTree, "root", counted(CTree.root))
     f = lin_tree([Rat(1, 2), Rat(1, 2)], 0)
     gs = (lin_tree([Rat(1, 3)], Rat(1, 5)), lin_tree([Rat(-2, 5)], Rat(1, 7)))
     t = compose(f, gs)
