@@ -2,7 +2,7 @@
 
 Reals are signed-digit streams; uniformly continuous functions are
 memoized continuity trees.  See the module docstrings of `sdstream`,
-`ctree`, `digitsys`, `integrate`, `oracle`, and `exprdsl` for the layout.
+`ctree`, `digitsys`, `integrate` and `exprdsl` for the layout.
 """
 
 from .ctree import (
@@ -33,19 +33,8 @@ from .digitsys import (
     tree_from_modulus,
 )
 from .errors import DomainError, ParseError, ResourceLimitError
-from .exprdsl import parse, to_tree, unparse
+from .exprdsl import Comp, Lin, Logistic, Pow, Quad, parse, to_tree, unparse
 from .integrate import IntegralResult, integral
-from .oracle import (
-    Comp,
-    Lin,
-    Logistic,
-    Pow,
-    Quad,
-    eval_exact,
-    integral_exact,
-    lipschitz_evaluator,
-    modulus_exact,
-)
 from .rationals import Rat, parse_rat, rat_str
 from .sdstream import (
     DigitStream,

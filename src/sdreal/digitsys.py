@@ -20,7 +20,7 @@ from typing import Callable
 from .ctree import DigitalSystem, MirrorRead, ReadNode, WriteNode
 from .ctree import build_tree, check_depth, compose
 from .errors import DomainError
-from .rationals import Rat
+from .rationals import Rat, rat_str
 from .sdstream import DIGITS, _shifted_digit
 
 N, Z, P = DIGITS
@@ -28,6 +28,10 @@ N, Z, P = DIGITS
 
 def _norm1(u):
     return sum(abs(ui) for ui in u)
+
+
+def _atom(name, *qs):
+    return f"{name}({','.join(map(rat_str, qs))})"
 
 
 def _integer_state(*qs):
@@ -54,7 +58,7 @@ def lin_tree(u, v):
     if n == 0:
         raise DomainError("lin_tree needs at least one coefficient")
     if _norm1(u) + abs(v) > 1:
-        raise DomainError("|u|_1 + |v| must be <= 1 to map I^n into I")
+        raise DomainError(f"{_atom('lin', *u, v)}: |u|_1 + |v| must be <= 1")
 
     def step(state):
         U, V, S = state
@@ -178,7 +182,7 @@ def quad_tree(u, v, w):
     u, v, w = Rat(u), Rat(v), Rat(w)
     low, high = quad_range(u, v, w)
     if low < -1 or high > 1:
-        raise DomainError("u x^2 + v x + w does not map [-1,1] into itself")
+        raise DomainError(f"{_atom('quad', u, v, w)} does not map I into I")
     return build_tree(_QUAD, _integer_state(u, v, w))
 
 
@@ -186,7 +190,7 @@ def logistic_tree(a):
     """Tree for the logistic map a(1 - x^2) - 1, rational a in [0,2]."""
     a = Rat(a)
     if not 0 <= a <= 2:
-        raise DomainError("logistic parameter must lie in [0,2]")
+        raise DomainError(f"{_atom('logistic', a)} needs a in [0,2]")
     return quad_tree(-a, 0, a - 1)
 
 
@@ -197,7 +201,7 @@ def iterate_tree(t, n):
     is a resource limit, raised before any layer is built.
     """
     if n < 1:
-        raise DomainError("iteration count must be >= 1")
+        raise DomainError(f"iteration count {n} must be >= 1")
     check_depth(n, "composition depth")
     acc = t
     for _ in range(n - 1):

@@ -10,19 +10,51 @@ Grammar (whitespace-insensitive between tokens)::
           | "(" func ")"
     rat  := ["-"|"+"] digits ["/" digits]    -- or a decimal literal
 
-Decimal literals convert exactly (1.5 is 3/2).  Syntax errors carry 1-based byte
-offsets; range errors ("does not map I to I") surface from construction.
+The AST is plain frozen dataclasses, unchecked.  Decimal literals convert
+exactly (1.5 is 3/2).  Syntax errors carry 1-based byte offsets; range
+errors surface from `to_tree`, through the tree builders' one check each.
 Parentheses and pow( nest at most MAX_NESTING deep: the parser recurses
 once per level.
 """
 
 import re
+from dataclasses import dataclass
 
 from .ctree import compose
 from .digitsys import iterate_tree, lin_tree, logistic_tree, quad_tree
 from .errors import ParseError
-from .oracle import Comp, Lin, Logistic, Pow, Quad
 from .rationals import Rat, digit_limit_error, rat_str
+
+
+@dataclass(frozen=True)
+class Lin:
+    u: object
+    v: object
+
+
+@dataclass(frozen=True)
+class Quad:
+    u: object
+    v: object
+    w: object
+
+
+@dataclass(frozen=True)
+class Logistic:
+    a: object
+
+
+@dataclass(frozen=True)
+class Comp:
+    outer: object
+    inner: object
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: object
+    n: int
+
 
 _TOKEN = re.compile(
     r"\s*(?P<num>\d+\.\d+|\d+|\.\d+)"

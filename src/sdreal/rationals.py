@@ -19,6 +19,7 @@ Rat = Fraction
 _PIECE = 600
 _PIECE_BASE = 10**_PIECE
 _DIGIT_RUN = re.compile(r"\d+")
+_RAT_SHAPE = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
 
 def digit_limit_error(text):
@@ -57,13 +58,16 @@ def parse_rat(text):
     """Parse ``p/q``, an integer, or a decimal literal, all exactly.
 
     ``1.5`` becomes 3/2 and ``0.7`` becomes 7/10; no binary rounding
-    happens anywhere.  A zero denominator, or a run of digits over the
-    int-conversion limit (see `digit_limit_error`), is a DomainError.
-    """
+    happens anywhere.  A run of digits over the int-conversion limit (see
+    `digit_limit_error`), any other shape, such as ``1_000``, ``1.`` or
+    ``1e3`` (an exponent builds 10^exponent), or a zero denominator is a
+    DomainError."""
     text = text.strip()
     error = digit_limit_error(text)
     if error:
         raise DomainError(error)
+    if not _RAT_SHAPE.fullmatch(text):
+        raise DomainError(f"{text!r} is not p/q, an integer or a decimal")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -1,74 +1,19 @@
-"""Exact rational reference implementation, used by tests as ground truth.
+"""Exact rational reference semantics of function expressions: the
+ground truth the engine's trees are tested against.
 
-Function expressions are a tiny closed AST (linear, quadratic, logistic,
-composition, iterated power).  Every constructor checks, by exact range
-analysis, that the function maps [-1,1] into itself; evaluation,
-integration and Lipschitz moduli are computed exactly on the expanded
-polynomial.  Expansion caps the degree at 64 — beyond that the engine is
-the only route, which is the point of the engine.
+Evaluation, integration and Lipschitz moduli are computed exactly on the
+expanded polynomial.  Expansion caps the degree at 64 — beyond that the
+engine is the only route, which is the point of the engine.  Nothing here
+checks that an expression maps [-1,1] into itself: `exprdsl.to_tree`
+does, through the tree builders.
 """
 
-from dataclasses import dataclass
-
-from .digitsys import ModulusEvaluator, quad_range
-from .errors import DomainError
-from .rationals import Rat
+from sdreal.digitsys import ModulusEvaluator
+from sdreal.errors import DomainError
+from sdreal.exprdsl import Comp, Lin, Logistic, Pow, Quad
+from sdreal.rationals import Rat
 
 POLY_DEGREE_CAP = 64
-
-
-@dataclass(frozen=True)
-class Lin:
-    u: object
-    v: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", Rat(self.u))
-        object.__setattr__(self, "v", Rat(self.v))
-        if abs(self.u) + abs(self.v) > 1:
-            raise DomainError(f"lin({self.u},{self.v}) does not map I to I")
-
-
-@dataclass(frozen=True)
-class Quad:
-    u: object
-    v: object
-    w: object
-
-    def __post_init__(self):
-        for f in ("u", "v", "w"):
-            object.__setattr__(self, f, Rat(getattr(self, f)))
-        low, high = quad_range(self.u, self.v, self.w)
-        if low < -1 or high > 1:
-            raise DomainError(
-                f"quad({self.u},{self.v},{self.w}) does not map I to I"
-            )
-
-
-@dataclass(frozen=True)
-class Logistic:
-    a: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Rat(self.a))
-        if not 0 <= self.a <= 2:
-            raise DomainError(f"logistic({self.a}) needs a in [0,2]")
-
-
-@dataclass(frozen=True)
-class Comp:
-    outer: object
-    inner: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("pow exponent must be >= 1")
 
 
 def eval_exact(e, x):

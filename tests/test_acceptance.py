@@ -28,7 +28,7 @@ from sdreal.digitsys import (
     tree_from_modulus,
 )
 from sdreal.exprdsl import parse, to_tree
-from sdreal.oracle import (
+from oracle import (
     Comp,
     Lin,
     Logistic,
@@ -135,14 +135,17 @@ def _random_expr(rng, depth):
         try:
             if kind == "lin":
                 u = _random_rat(rng, -1, 1)
-                return Lin(u, _random_rat(rng, -(1 - abs(u)), 1 - abs(u)))
-            if kind == "logistic":
-                return Logistic(_random_rat(rng, 0, 2))
-            return Quad(
-                _random_rat(rng, -1, 1),
-                _random_rat(rng, -1, 1),
-                _random_rat(rng, -1, 1),
-            )
+                e = Lin(u, _random_rat(rng, -(1 - abs(u)), 1 - abs(u)))
+            elif kind == "logistic":
+                e = Logistic(_random_rat(rng, 0, 2))
+            else:
+                e = Quad(
+                    _random_rat(rng, -1, 1),
+                    _random_rat(rng, -1, 1),
+                    _random_rat(rng, -1, 1),
+                )
+            to_tree(e)  # the builders refuse a map that leaves [-1,1]
+            return e
         except Exception:
             kind = rng.choice(["lin", "quad", "logistic"])
 

@@ -104,6 +104,17 @@ def test_zero_denominator_is_refused_in_own_words(argv, capsys):
     assert err == f"error: {argv[3]} has a zero denominator\n"
 
 
+@pytest.mark.parametrize("literal", ["1e-400", "1e3", "1_000", "1."])
+@pytest.mark.parametrize("command", ["eval", "digits", "bench"])
+def test_at_takes_only_documented_shapes(command, literal, capsys):
+    # an exponent would have Fraction build 10^exponent before any check
+    flag = "--count" if command == "digits" else "--prec"
+    code, out = run(command, "lin(1/2,0)", "--at", literal, flag, "4")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: {literal!r} is not p/q, an integer or a decimal\n"
+
+
 def test_digits():
     code, out = run("digits", "quad(-2/3,0,-1/3)", "--at", "0", "--count", "6")
     assert code == 0
@@ -184,9 +195,25 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
-def test_domain_error_exit_code():
-    code, _ = run("eval", "lin(1/2,2/3)", "--at", "0", "--prec", "4")
-    assert code == 2
+@pytest.mark.parametrize(
+    "expression, refused",
+    [
+        ("lin(1/2,2/3)", "lin(1/2,2/3)"),
+        ("quad(2,0,0)", "quad(2,0,0)"),
+        ("logistic(5/2)", "logistic(5/2)"),
+        ("pow(lin(1/2,0),0)", "iteration count 0"),
+        ("lin(1/2,0) o quad(2,0,0)", "quad(2,0,0)"),
+    ],
+    ids=["lin", "quad", "logistic", "pow", "composed"],
+)
+def test_domain_error_exit_code(expression, refused, capsys):
+    # the one check of each rule is the tree builder's, and its message
+    # names the refused coefficients
+    code, out = run("eval", expression, "--at", "0", "--prec", "4")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert refused in err and "Traceback" not in err
 
 
 def test_bad_flag_exit_code():

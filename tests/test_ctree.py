@@ -37,7 +37,7 @@ from sdreal.digitsys import (
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.exprdsl import parse, to_tree
 from sdreal.integrate import integral
-from sdreal.oracle import Lin, Logistic, Quad, eval_exact
+from oracle import Lin, Logistic, Quad, eval_exact
 from sdreal.rationals import Rat
 from sdreal.sdstream import (
     DIGITS,

@@ -30,7 +30,7 @@ from sdreal.digitsys import (
 )
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.exprdsl import parse
-from sdreal.oracle import (
+from oracle import (
     Lin,
     Logistic,
     Quad,

@@ -8,7 +8,7 @@ from sdreal.ctree import WriteNode, compose, constant_tree
 from sdreal.digitsys import lin_tree, logistic_tree, quad_tree
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.integrate import integral
-from sdreal.oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
+from oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
 from sdreal.exprdsl import to_tree
 from sdreal.rationals import Rat
 from sdreal.sdstream import Z
@@ -44,8 +44,8 @@ def test_lin_quarter_fifth():
     "expr",
     [
         Lin(Rat(1, 4), Rat(1, 5)),
-        Lin(Rat(1, 2), 0),
-        Quad(Rat(1, 2), Rat(1, 4), 0),
+        Lin(Rat(1, 2), Rat(0)),
+        Quad(Rat(1, 2), Rat(1, 4), Rat(0)),
         Logistic(Rat(1, 2)),
         Logistic(Rat(2)),
     ],
@@ -53,6 +53,7 @@ def test_lin_quarter_fifth():
 def test_error_bound_vs_oracle(expr):
     t = to_tree_of(expr)
     want = integral_exact(expr)
+    assert type(want) is Fraction  # a bare int coefficient would give a float
     for k in range(1, 17):
         res = integral(t, k)
         assert abs(res.value - want) <= Rat(2, 2**k)
@@ -70,6 +71,7 @@ def test_error_bound_vs_oracle_composed(expr):
     # shortcut), so the node count doubles per k; k = 12 keeps this short
     t = to_tree_of(expr)
     want = integral_exact(expr)
+    assert type(want) is Fraction  # a bare int coefficient would give a float
     for k in range(1, 13):
         res = integral(t, k)
         assert abs(res.value - want) <= Rat(2, 2**k)

@@ -1,7 +1,8 @@
 import pytest
 
 from sdreal.errors import DomainError
-from sdreal.oracle import (
+from sdreal.exprdsl import to_tree
+from oracle import (
     Comp,
     Lin,
     Logistic,
@@ -33,13 +34,13 @@ def test_eval_domain_error():
 
 def test_construction_range_checks():
     with pytest.raises(DomainError):
-        Lin(Rat(1, 2), Rat(2, 3))
+        to_tree(Lin(Rat(1, 2), Rat(2, 3)))
     with pytest.raises(DomainError):
-        Quad(Rat(2), 0, 0)
+        to_tree(Quad(Rat(2), 0, 0))
     with pytest.raises(DomainError):
-        Logistic(Rat(5, 2))
+        to_tree(Logistic(Rat(5, 2)))
     with pytest.raises(DomainError):
-        Pow(Logistic(1), 0)
+        to_tree(Pow(Logistic(1), 0))
 
 
 def test_comp_evaluates_exactly():
@@ -53,7 +54,7 @@ def test_integral_examples():
     assert integral_exact(Logistic(Rat(3, 2))) == 0
     assert integral_exact(Lin(Rat(1, 4), Rat(1, 5))) == Rat(2, 5)
     for u in (Rat(1), Rat(-1, 3), Rat(1, 2)):
-        assert integral_exact(Lin(u, 0)) == 0
+        assert integral_exact(Lin(u, Rat(0))) == 0
 
 
 def test_expansion_matches_pointwise_eval():
