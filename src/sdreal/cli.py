@@ -195,10 +195,13 @@ def main(argv=None, out=None):
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        # walks nest frames per composed layer, folds per read: name the
-        # limit, not a cause
+        # the library's walks raise ResourceLimitError; to_tree recurses
+        # once per `o` of a long chain, outside any walk
         print("resource limit: a tree walk exceeded the recursion limit "
               f"({sys.getrecursionlimit()} frames)", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 3
     return 0
 

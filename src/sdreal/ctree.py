@@ -158,13 +158,21 @@ def build_tree(system, start, parents=()):
 
 @contextmanager
 def collector_paused():
-    """Disable the (process-wide) cyclic garbage collector for the block;
-    on any exit, re-enable it only if it was enabled on entry.  Expanded
-    nodes stay cached: collecting mid-expansion rescans them, frees nothing."""
+    """The guard around every tree walk.  Disable the (process-wide) cyclic
+    garbage collector for the block; on any exit, re-enable it only if it
+    was enabled on entry.  Expanded nodes stay cached: collecting
+    mid-expansion rescans them, frees nothing.  Walks nest frames per node
+    or composed layer, so a walk that outgrows the stack, a RecursionError
+    in the block, is a resource limit."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+    except RecursionError:
+        raise ResourceLimitError(
+            "a tree walk exceeded the recursion limit "
+            f"({getrecursionlimit()} frames)"
+        ) from None
     finally:
         if was_enabled:
             gc.enable()
@@ -336,20 +344,6 @@ def check_depth(depth, what):
         )
 
 
-def _sweep(go, t, *args, what):
-    """go(t.root, *args) with the collector paused.  go recurses a frame
-    per node, so a walk deeper than the recursion limit is a resource
-    limit."""
-    with collector_paused():
-        try:
-            return go(t.root, *args)
-        except RecursionError:
-            raise ResourceLimitError(
-                f"{what} exceeded the recursion limit "
-                f"({getrecursionlimit()} frames)"
-            ) from None
-
-
 def modulus(t, k):
     """Max number of reads on any path before the k-th write.
 
@@ -377,7 +371,8 @@ def modulus(t, k):
         seen[id(node)] = res
         return res
 
-    return _sweep(go, t, k, what=f"modulus depth {k}")
+    with collector_paused():
+        return go(t.root, k)
 
 
 def check_productive(t, k_writes, max_reads):
@@ -413,9 +408,8 @@ def check_productive(t, k_writes, max_reads):
         seen[key] = res
         return res
 
-    return _sweep(
-        go, t, k_writes, max_reads, what=f"productivity depth {k_writes}"
-    )
+    with collector_paused():
+        return go(t.root, k_writes, max_reads)
 
 
 RENDER_MAX_NODES = 100_000
@@ -458,10 +452,11 @@ def render_ascii(t, depth):
     Write nodes show their digit; read nodes show ``x<i>`` (bare ``x``
     for unary trees); branches appear in N, Z, P order, two characters
     of indent per level."""
-    lines = [
-        "  " * level + (_label(node, t.arity) or "x")
-        for level, _, _, node in _walk(t, depth)
-    ]
+    with collector_paused():
+        lines = [
+            "  " * level + (_label(node, t.arity) or "x")
+            for level, _, _, node in _walk(t, depth)
+        ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -470,9 +465,10 @@ def render_dot(t, depth):
     labelled N/Z/P, read nodes circles labelled ``x<i>`` (unlabelled for
     unary trees), edges in N, Z, P order."""
     lines = ["digraph ctree {", "  node [shape=circle];"]
-    for _, n, parent, node in _walk(t, depth):
-        lines.append(f'  n{n} [label="{_label(node, t.arity)}"];')
-        if parent:
-            lines.append(f"  n{parent} -> n{n};")
+    with collector_paused():
+        for _, n, parent, node in _walk(t, depth):
+            lines.append(f'  n{n} [label="{_label(node, t.arity)}"];')
+            if parent:
+                lines.append(f"  n{parent} -> n{n};")
     lines.append("}")
     return "\n".join(lines) + "\n"

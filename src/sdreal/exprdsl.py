@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive between tokens)::
           | "logistic(" rat ")"
           | "pow(" func "," nat ")"
           | "(" func ")"
-    rat  := ["-"|"+"] digits ["/" digits]    -- or a decimal literal
+    rat  := rationals.RAT_LITERAL        e.g. 1/3, - 1 / 3, -.25, 1.5
+    nat  := digits
 
 The AST is plain frozen dataclasses, unchecked.  Decimal literals convert
 exactly (1.5 is 3/2).  Syntax errors carry 1-based byte offsets; range
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 from .ctree import compose
 from .digitsys import iterate_tree, lin_tree, logistic_tree, quad_tree
-from .errors import ParseError
-from .rationals import Rat, digit_limit_error, rat_str
+from .errors import DomainError, ParseError
+from .rationals import RAT_LITERAL, parse_rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,9 @@ class Pow:
 
 
 _TOKEN = re.compile(
-    r"\s*(?P<num>\d+\.\d+|\d+|\.\d+)"
+    rf"\s*(?P<num>{RAT_LITERAL})"
     r"|\s*(?P<name>[A-Za-z_]+)"
-    r"|\s*(?P<sym>[(),/+-])"
+    r"|\s*(?P<sym>[(),])"
     r"|\s*(?P<bad>\S)"
 )
 
@@ -75,9 +76,6 @@ def _tokenize(src):
             break
         if m.group("bad") is not None:
             raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad") + 1)
-        error = m.group("num") and digit_limit_error(m.group("num"))
-        if error:
-            raise ParseError(error, m.start("num") + 1)
         for kind in ("num", "name", "sym"):
             text = m.group(kind)
             if text is not None:
@@ -169,34 +167,20 @@ class _Parser:
         return args
 
     def parse_rat(self):
-        sign = 1
-        kind, text, _ = self.peek()
-        if kind == "sym" and text in "+-":
-            self.next()
-            if text == "-":
-                sign = -1
-            kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind != "num":
             self.fail("a number")
         self.next()
-        value = Rat(text)  # exact for decimal literals too
-        if "." not in text:
-            nk, nt, _ = self.peek()
-            if nk == "sym" and nt == "/":
-                self.next()
-                dk, dt, dpos = self.peek()
-                if dk != "num" or "." in dt or int(dt) == 0:
-                    raise ParseError("expected a positive integer denominator", dpos + 1)
-                self.next()
-                value = value / int(dt)
-        return sign * value
+        try:
+            return parse_rat(text)
+        except DomainError as e:
+            raise ParseError(str(e), pos + 1) from None
 
     def parse_nat(self):
-        kind, text, pos = self.peek()
-        if kind != "num" or "." in text:
+        kind, text, _ = self.peek()
+        if kind != "num" or not text.isdigit():
             self.fail("a natural number")
-        self.next()
-        return int(text)
+        return int(self.parse_rat())
 
 
 def parse(src):

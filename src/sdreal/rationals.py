@@ -19,21 +19,9 @@ Rat = Fraction
 _PIECE = 600
 _PIECE_BASE = 10**_PIECE
 _DIGIT_RUN = re.compile(r"\d+")
-_RAT_SHAPE = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
-
-
-def digit_limit_error(text):
-    """The reason to refuse `text` when one of its runs of digits is longer
-    than Python converts to an int (4300 digits unless the process set
-    another limit), else None."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
-    if limit and longest > limit:
-        return (
-            f"a number with a run of {longest} digits exceeds the limit "
-            f"of {limit} digits"
-        )
-    return None
+# the one number-literal shape, the DSL's and --at's
+RAT_LITERAL = r"[+-]?\s*(?:\d*\.\d+|\d+(?:\s*/\s*\d+)?)"
+_RAT_SHAPE = re.compile(RAT_LITERAL)
 
 
 def _int_str(n, width):
@@ -55,21 +43,25 @@ def rat_str(q):
 
 
 def parse_rat(text):
-    """Parse ``p/q``, an integer, or a decimal literal, all exactly.
+    """Parse a `RAT_LITERAL`, ``p/q``, an integer or a decimal, exactly.
 
-    ``1.5`` becomes 3/2 and ``0.7`` becomes 7/10; no binary rounding
-    happens anywhere.  A run of digits over the int-conversion limit (see
-    `digit_limit_error`), any other shape, such as ``1_000``, ``1.`` or
-    ``1e3`` (an exponent builds 10^exponent), or a zero denominator is a
-    DomainError."""
+    ``1.5`` becomes 3/2 and ``- 1 / 3`` becomes -1/3; no binary rounding
+    happens anywhere.  A run of digits longer than Python converts to an
+    int (4300 digits unless the process set another limit), any other
+    shape, such as ``1_000``, ``1.`` or ``1e3`` (an exponent builds
+    10^exponent), or a zero denominator is a DomainError."""
     text = text.strip()
-    error = digit_limit_error(text)
-    if error:
-        raise DomainError(error)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
+    if limit and longest > limit:
+        raise DomainError(
+            f"a number with a run of {longest} digits exceeds the limit "
+            f"of {limit} digits"
+        )
     if not _RAT_SHAPE.fullmatch(text):
         raise DomainError(f"{text!r} is not p/q, an integer or a decimal")
     try:
-        return Fraction(text)
+        return Fraction("".join(text.split()))
     except ZeroDivisionError:
         raise DomainError(f"{text} has a zero denominator") from None
 

@@ -95,7 +95,7 @@ def integral_exact(e):
     total = Rat(0)
     for i, c in enumerate(poly_coeffs(e)):
         if i % 2 == 0:
-            total += 2 * c / (i + 1)
+            total += Rat(2 * c, i + 1)
     return total
 
 

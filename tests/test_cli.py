@@ -279,6 +279,17 @@ def test_deep_composition_is_a_resource_limit(argv, capsys):
     assert gc.isenabled()
 
 
+def test_out_of_memory_is_a_resource_limit(monkeypatch, capsys):
+    def exhaust(expr):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "to_tree", exhaust)
+    code, out = run("eval", "lin(1/2,0)", "--at", "1/3", "--prec", "10")
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err == "resource limit: out of memory\n"
+
+
 def test_composed_layer_costs_two_frames():
     # 400 layers fit the default recursion limit at two stack frames a
     # layer, the tree's root and the composition's step, not at three

@@ -673,8 +673,34 @@ def test_collector_restored_after_return_and_errors(collector_on):
     with pytest.raises(DomainError):
         eval_at(raises_when_expanded(), Rat(1, 3), 8)
     assert gc.isenabled()
-    with pytest.raises(RecursionError):
+    with pytest.raises(ResourceLimitError):
         eval_at(to_tree(parse("pow(logistic(2),600)")), Rat(7, 10), 8)
+    assert gc.isenabled()
+
+
+def _deep():
+    return to_tree(parse("pow(logistic(2),600)"))
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: eval_at(_deep(), Rat(7, 10), 8),
+        lambda: digits_at(_deep(), Rat(7, 10), 8),
+        lambda: integral(_deep(), 8),
+        lambda: render_ascii(_deep(), 3),
+        lambda: render_dot(_deep(), 3),
+        # no composition: the integration fold nests a frame per read
+        lambda: integral(lin_tree([Rat(1, 2)], 0), 2000),
+    ],
+    ids=["eval_at", "digits_at", "integral", "render_ascii", "render_dot",
+         "integral_reads"],
+)
+def test_walk_past_recursion_limit_is_a_resource_limit(walk, collector_on):
+    # 600 composed layers nest two frames each: every walk that outgrows
+    # the stack ends in the library's own error, collector switched back on
+    with pytest.raises(ResourceLimitError, match="recursion limit"):
+        walk()
     assert gc.isenabled()
 
 

@@ -57,6 +57,12 @@ def test_integral_examples():
         assert integral_exact(Lin(u, Rat(0))) == 0
 
 
+def test_integral_is_exact_for_int_coefficients():
+    # a bare int coefficient must not turn the sum into a float
+    value = integral_exact(Quad(Rat(1, 2), Rat(1, 4), 0))
+    assert isinstance(value, Rat) and value == Rat(1, 3)
+
+
 def test_expansion_matches_pointwise_eval():
     e = Comp(Quad(Rat(1, 2), Rat(1, 4), 0), Logistic(Rat(3, 4)))
     coeffs = poly_coeffs(e)
