@@ -13,7 +13,7 @@ import sys
 import time
 
 from .ctree import digits_at, eval_at, expansion_count
-from .ctree import render_ascii, render_dot
+from .ctree import RENDER_MAX_DEPTH, render_ascii, render_dot
 from .errors import DomainError, ParseError, ResourceLimitError
 from .exprdsl import parse, to_tree
 from .integrate import integral
@@ -60,7 +60,9 @@ def _build_parser():
 
     tr = sub.add_parser("tree", help="render the continuity tree")
     tr.add_argument("expression")
-    tr.add_argument("--depth", required=True, type=_positive(32), metavar="D")
+    tr.add_argument(
+        "--depth", required=True, type=_positive(RENDER_MAX_DEPTH), metavar="D"
+    )
     tr.add_argument("--dot", action="store_true")
 
     bn = sub.add_parser("bench", help="time repeated evaluation (memoization)")

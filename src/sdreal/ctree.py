@@ -65,11 +65,11 @@ class MirrorRead(ReadNode):
 
 
 class ExpansionStats:
-    """Counts node expansions for one tree's cache, transitively.
+    """Counts the node expansions of one family, all trees of one system.
 
-    A derived tree (compose, feed_digit, ...) records the trees it was
-    built from; `total` sums over that DAG without double counting, so it
-    reflects every expansion an evaluation of the derived tree can cause.
+    A derived family (compose, feed_digit, ...) records the stats of the
+    trees its states hold as parents; `total` adds theirs transitively,
+    each once: every expansion evaluating a derived tree can cause.
     """
 
     __slots__ = ("count", "parents")
@@ -413,6 +413,7 @@ def check_productive(t, k_writes, max_reads):
 
 
 RENDER_MAX_NODES = 100_000
+RENDER_MAX_DEPTH = 32  # depth d indents a write chain by about d^2 chars
 
 
 def _walk(t, depth):
@@ -421,8 +422,8 @@ def _walk(t, depth):
     as visited, and the root's parent number is 0.  Output grows as
     3^depth, so visiting more than RENDER_MAX_NODES nodes is a resource
     limit."""
-    if depth > 32:
-        raise DomainError("render depth capped at 32")
+    if depth > RENDER_MAX_DEPTH:
+        raise DomainError(f"render depth capped at {RENDER_MAX_DEPTH}")
     stack = [(0, 0, t)] if depth > 0 else []
     count = 0
     while stack:

@@ -99,10 +99,12 @@ def _quad_step(state):
     """The quadratic family's step, fused and integer-only.
 
     The state is (U, V, W, S) in lowest terms with S > 0, denoting
-    x -> (U x^2 + V x + W)/S.  Write and read successors are the rational
-    step's (f -> 2f - e and f -> f((x + d)/2)) cleared of fractions, and
-    the digit test multiplies out "the image lies in I_e", so the emitted
-    tree is node-for-node the one the rational step yields.  Lowest terms
+    f(x) = (U x^2 + V x + W)/S.  The image f[I] is [lo/D, hi/D], from
+    f(1), f(-1) and, when the vertex -V/2U lies in I, its value, all three
+    then scaled by c = 4|U|.  The first e in N, Z, P with the image in
+    I_e = [(e - 1)/2, (e + 1)/2] is written, else the input is read, so
+    the tree is node-for-node the rational step's; the successors are its
+    f -> 2f - e and f -> f((x + d)/2) cleared of fractions.  Lowest terms
     need no gcd: a write's only common factor is 2, when S is even, and
     all three read successors share the factor lowbit(U | 2V | 4).
     Integration folds millions of these nodes, hence the hand-inlining.
@@ -112,44 +114,24 @@ def _quad_step(state):
     U, V, W, S = state
     A = U + V + W
     B = U - V + W
-    if A <= B:
-        lo2, hi2 = A + A, B + B
-    else:
-        lo2, hi2 = B + B, A + A
-    S2 = S + S
-    e = None
-    if hi2 - lo2 <= S2:
-        # endpoints fit a width-1 window; fold in the extremum
-        # (an interior critical point only ever widens the range)
-        emin = emax = None
-        U2 = U + U
-        if U > 0:
-            if -U2 <= V <= U2:
-                emin = 4 * U * W - V * V
-                su2 = S * U2
-        elif U < 0:
-            if U2 <= V <= -U2:
-                emax = 4 * U * W - V * V
-                su2 = S * U2
-        if lo2 >= -S2 and hi2 <= 0 and \
-           (emin is None or emin >= -2 * su2) and \
-           (emax is None or emax >= 0):
-            e = -1
-        elif lo2 >= -S and hi2 <= S and \
-           (emin is None or emin >= -su2) and \
-           (emax is None or emax >= su2):
-            e = 0
-        elif lo2 >= 0 and hi2 <= S2 and \
-           (emin is None or emin >= 0) and \
-           (emax is None or emax >= 2 * su2):
-            e = 1
-    if e is not None:
-        if S & 1:
-            s2 = (U + U, V + V, W + W - e * S, S)
-        else:
-            S >>= 1
-            s2 = (U, V, W - e * S, S)
-        return WriteNode(DIGITS[e + 1], s2)
+    lo, hi = (A, B) if A <= B else (B, A)
+    if hi - lo <= S:
+        # the ends fit a window; a vertex inside I only widens the image
+        D = S
+        if U > 0 and -U - U <= V <= U + U:
+            c = 4 * U
+            lo, hi, D = c * W - V * V, hi * c, S * c
+        elif U < 0 and U + U <= V <= -U - U:
+            c = -4 * U
+            lo, hi, D = lo * c, V * V + c * W, S * c
+        for e in (-1, 0, 1):
+            if lo + lo >= (e - 1) * D and hi + hi <= (e + 1) * D:
+                if S & 1:
+                    s2 = (U + U, V + V, W + W - e * S, S)
+                else:
+                    S >>= 1
+                    s2 = (U, V, W - e * S, S)
+                return WriteNode(DIGITS[e + 1], s2)
     S4 = 4 * S
     W4 = 4 * W
     V2 = V + V

@@ -18,9 +18,9 @@ Rat = Fraction
 # a process set on them (640 digits)
 _PIECE = 600
 _PIECE_BASE = 10**_PIECE
-_DIGIT_RUN = re.compile(r"\d+")
+_DIGIT_RUN = re.compile(r"[0-9]+")
 # the one number-literal shape, the DSL's and --at's
-RAT_LITERAL = r"[+-]?\s*(?:\d*\.\d+|\d+(?:\s*/\s*\d+)?)"
+RAT_LITERAL = r"[+-]?\s*(?:[0-9]*\.[0-9]+|[0-9]+(?:\s*/\s*[0-9]+)?)"
 _RAT_SHAPE = re.compile(RAT_LITERAL)
 
 

@@ -104,15 +104,25 @@ def test_zero_denominator_is_refused_in_own_words(argv, capsys):
     assert err == f"error: {argv[3]} has a zero denominator\n"
 
 
-@pytest.mark.parametrize("literal", ["1e-400", "1e3", "1_000", "1."])
+@pytest.mark.parametrize(
+    "literal", ["1e-400", "1e3", "1_000", "1.", "\u0660", "1/\u0662"]
+)
 @pytest.mark.parametrize("command", ["eval", "digits", "bench"])
 def test_at_takes_only_documented_shapes(command, literal, capsys):
-    # an exponent would have Fraction build 10^exponent before any check
+    # an exponent would have Fraction build 10^exponent before any check,
+    # and Fraction reads any Unicode decimal digit, the shape only ASCII
     flag = "--count" if command == "digits" else "--prec"
     code, out = run(command, "lin(1/2,0)", "--at", literal, flag, "4")
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err == f"error: {literal!r} is not p/q, an integer or a decimal\n"
+
+
+def test_expression_takes_only_ascii_digits(capsys):
+    code, out = run("eval", "lin(\u0661/\u0662,0)", "--at", "0", "--prec", "3")
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == "error: unexpected character '\u0661' (at position 5)\n"
 
 
 def test_digits():

@@ -2,7 +2,7 @@ from math import gcd
 from sys import getrecursionlimit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdreal import digitsys
@@ -313,6 +313,16 @@ def quadratics(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(quadratics())
+# one pinned case per branch of the integer window test: U < 0 with the
+# vertex inside I (logistic(2), image exactly [-1, 1]), U > 0 with it
+# inside, the vertex on an endpoint for each sign of U, U = 0, and a
+# bench-sized logistic coefficient
+@example((Rat(-2), Rat(0), Rat(1)))
+@example((Rat(1, 2), Rat(1, 4), Rat(0)))
+@example((Rat(1, 4), Rat(1, 2), Rat(0)))
+@example((Rat(-1, 4), Rat(1, 2), Rat(1, 4)))
+@example((Rat(0), Rat(1, 2), Rat(1, 4)))
+@example((Rat(-19014, 10007), Rat(0), Rat(9007, 10007)))
 def test_quad_tree_matches_rational_rule(uvw):
     t, ref = quad_tree(*uvw), quad_reference(*uvw)
     assert same_nodes(t, ref, 9)

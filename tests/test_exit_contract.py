@@ -32,6 +32,7 @@ def in_shape(draw):
 
 def near_misses(long_runs=True):
     misses = ["1e3", "1_000", "1.", "1/0", "1/", "/2", "1 2", "1//2", "- ", ""]
+    misses.append("\u0661")  # a Unicode decimal digit that is not ASCII
     if long_runs:
         # digit runs at the int-conversion limit and one past it
         misses += ["1" * LIMIT, "0." + "1" * LIMIT, "1" * (LIMIT + 1)]
