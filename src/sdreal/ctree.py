@@ -30,14 +30,7 @@ from sys import getrecursionlimit
 from typing import Callable
 
 from .errors import DomainError, ResourceLimitError
-from .sdstream import (
-    DIGITS,
-    DigitStream,
-    SignedDigit,
-    cauchy_to_stream,
-    const_seq,
-    sigma_approx,
-)
+from .sdstream import DIGITS, DigitStream, SignedDigit, digits_value, unit_point
 
 
 class WriteNode:
@@ -218,23 +211,45 @@ def as_stream(t):
     return apply(t, ())
 
 
-def _at_point(t, q):
-    seq = const_seq(q)
+def digits_at(t, q, count):
+    """The first `count` output digits of unary t at rational q, in one
+    walk over the tree.  Each read picks the point's next input digit by
+    the residual rule: with q = num/den and v = num at the start, the
+    digit d is P if 4v > den, Z if 4v >= -den and N otherwise, and then
+    v becomes 2v - d*den.  These are cauchy_to_stream(const_seq(q))'s
+    digits, whose residual (num << k) - t_k*den obeys the same
+    recurrence, but here |v| <= den, so a digit costs O(1) small-int
+    work.  The walk stops at the count-th write and never expands the
+    node after it."""
+    q = unit_point(q)
     if t.arity != 1:
         raise DomainError("evaluation at a point needs a unary tree")
-    return apply(t, (cauchy_to_stream(seq),))
+    den, v = q.denominator, q.numerator
+    out = []
+    with collector_paused():
+        for _ in range(count):
+            node = t.root
+            while type(node) is not WriteNode:
+                w = 4 * v
+                if w > den:
+                    v = 2 * v - den
+                    t = node.branches[2]
+                elif w >= -den:
+                    v = 2 * v
+                    t = node.branches[1]
+                else:
+                    v = 2 * v + den
+                    t = node.branches[0]
+                node = t.root
+            out.append(node.digit)
+            t = node.next
+    return out
 
 
 def eval_at(t, q, n):
-    """Approximate the realized unary function at rational q to 2^-n."""
-    with collector_paused():
-        return sigma_approx(_at_point(t, q), n)
-
-
-def digits_at(t, q, count):
-    """The first `count` output digits of unary t at rational q."""
-    with collector_paused():
-        return _at_point(t, q).take(count)
+    """Approximate the realized unary function at rational q to 2^-n: the
+    first n output digits at q, summed; the denominator divides 2^n."""
+    return digits_value(digits_at(t, q, n))
 
 
 def _advance(g, queues):
@@ -328,7 +343,10 @@ def compose(f, gs):
             cur[i] = z
             sz = (fpos, pz, *cur)
             cur[i] = p
-            return ReadNode(j, (sn, sz, (fpos, pp, *cur)))
+            # one inner tree: g_P(x) = g_N(-x) gives f o g_P(x) = f o g_N(-x),
+            # so a MirrorRead of g stays one; fed siblings break the symmetry
+            read = ReadNode if siblings else type(gnode)
+            return read(j, (sn, sz, (fpos, pp, *cur)))
 
     parents = (f.stats,) + tuple(g.stats for g in gs)
     return build_tree(DigitalSystem(m, step), (f, None, *gs), parents)

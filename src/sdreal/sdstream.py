@@ -55,12 +55,13 @@ class DigitStream:
         return t
 
     def take(self, n):
-        """First n digits as a list."""
+        """First n digits as a list; no tail past the n-th is forced."""
         out = []
         s = self
-        for _ in range(n):
+        for i in range(n):
+            if i:
+                s = s.tail
             out.append(s.head)
-            s = s.tail
         return out
 
     def drop(self, n):
@@ -101,25 +102,35 @@ def cycle(digits):
     return first
 
 
+_NAMES = {d: d.name for d in DIGITS}
+_P_PLACES = str.maketrans("NZP", "001")
+_N_PLACES = str.maketrans("NZP", "100")
+
+
 def digits_str(digits):
     """Render digits as contiguous N/Z/P text, e.g. ``PPNPN``."""
-    return "".join(d.name for d in digits)
+    return "".join(map(_NAMES.__getitem__, digits))
 
 
 def digits_from_str(text):
     return [SignedDigit[c] for c in text]
 
 
+def digits_value(digits):
+    """sum_i d_i * 2^-(i+1) over a finite digit list: the binary number
+    of its P places minus that of its N places, over 2^len(digits)."""
+    text = "0" + digits_str(digits)
+    acc = int(text.translate(_P_PLACES), 2) - int(text.translate(_N_PLACES), 2)
+    return Rat(acc, 2 ** len(digits))
+
+
 def sigma_approx(s, n):
     """Partial sum of the stream's value: sum_{i<n} s_i * 2^-(i+1).
 
-    Within 2^-n of the denoted real; the denominator divides 2^n.
+    Within 2^-n of the denoted real; the denominator divides 2^n.  No
+    tail past the n-th digit is forced.
     """
-    acc = 0
-    for _ in range(n):
-        acc = 2 * acc + int(s.head)
-        s = s.tail
-    return Rat(acc, 2**n)
+    return digits_value(s.take(n))
 
 
 def select_digit(q):
@@ -135,11 +146,17 @@ def _shifted_digit(q, k, t):
     return P if v > den else Z if v >= -den else N
 
 
-def const_seq(q):
-    """The fast Cauchy sequence constantly q, for rational q in [-1,1]."""
+def unit_point(q):
+    """q as a rational, refused unless it lies in [-1,1]."""
     q = Rat(q)
     if abs(q) > 1:
         raise DomainError(f"{q} lies outside [-1,1]")
+    return q
+
+
+def const_seq(q):
+    """The fast Cauchy sequence constantly q, for rational q in [-1,1]."""
+    q = unit_point(q)
     return lambda n: q
 
 

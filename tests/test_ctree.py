@@ -4,7 +4,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdreal.ctree import (
@@ -49,6 +49,7 @@ from sdreal.sdstream import (
     constant,
     digits_str,
     from_digits,
+    sigma_approx,
 )
 
 from conftest import GRID, same_nodes, within
@@ -384,7 +385,7 @@ WORK_PINS = {
         lambda: to_tree(parse("pow(logistic(2),100)")),
         lambda t: eval_at(t, Rat(7, 10), 100),
         Rat(1008550774065780194036545699607, 2**100),
-        67_934,
+        67_799,
     ),
     "digits_3_layer_chain": (
         lambda: to_tree(
@@ -392,7 +393,7 @@ WORK_PINS = {
         ),
         lambda t: digits_str(digits_at(t, Rat(-7, 10), 60)),
         "PZZZZZZNZZZPZZPZZNZZPZPPZZZZZPZZNZPZZZZNZZZNZZZPZZZNZZZPPZZN",
-        493,
+        485,
     ),
     "modulus_compose": (
         lambda: compose(
@@ -451,10 +452,68 @@ def test_apply_binary():
     t = lin_tree([Rat(1, 2), Rat(1, 4)], 0)
     x, y = Rat(1, 3), Rat(-2, 3)
     ins = tuple(cauchy_to_stream(const_seq(q)) for q in (x, y))
-    from sdreal.sdstream import sigma_approx
-
     got = sigma_approx(apply(t, ins), 20)
     assert within(got, x / 2 + y / 4, 20)
+
+
+lin_text = l1_ball(2).map(lambda c: "lin({},{})".format(*c))
+quad_text = l1_ball(3).map(lambda c: "quad({},{},{})".format(*c))
+logistic_text = st.integers(0, 16).map(lambda i: f"logistic({Rat(i, 8)})")
+base_text = st.one_of(lin_text, quad_text, logistic_text)
+point_exprs = st.one_of(
+    st.just("copy"),
+    base_text,
+    st.tuples(base_text, base_text).map(" o ".join),
+    st.tuples(base_text, st.integers(2, 4)).map(
+        lambda fn: "pow({},{})".format(*fn)
+    ),
+)
+
+
+def copy_tree():
+    """Reads an input digit, then writes it: output digits are the input
+    digits, so the walk's choice at a tie shows in the answer."""
+    return build_tree(
+        DigitalSystem(1, lambda s: ReadNode(1, DIGITS) if s is None
+                      else WriteNode(s, None)),
+        None,
+    )
+
+
+def point_tree(text):
+    return copy_tree() if text == "copy" else to_tree(parse(text))
+
+
+def stream_at(q):
+    return (cauchy_to_stream(const_seq(q)),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    point_exprs,
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    st.integers(1, 80),
+)
+@example("logistic(2)", Rat(0), 60)
+@example("copy", Rat(1), 40)
+@example("quad(-1/2,1/4,1/8)", Rat(-1), 40)
+@example("copy", Rat(1, 4), 40)
+@example("copy", Rat(-1, 4), 40)
+@example("lin(-1/2,1/4) o logistic(15/8)", Rat(-1, 4), 60)
+@example("pow(logistic(2),3)", Rat(3, 4), 60)
+@example("quad(1/2,1/4,0) o lin(3/4,1/8)", Rat(-3, 4), 60)
+@example("pow(logistic(15/8),4)", Rat(123456789, 987654321), 80)
+@example("copy", Rat(1, 2**40 + 1), 80)
+def test_point_walk_matches_stream_rule(text, q, n):
+    # eval_at and digits_at walk the tree on integer residuals; the
+    # reference runs the same tree as a stream transformer on
+    # cauchy_to_stream's digits: same answers, same nodes expanded
+    fast, ref = point_tree(text), point_tree(text)
+    assert eval_at(fast, q, n) == sigma_approx(apply(ref, stream_at(q)), n)
+    assert expansion_count(fast) == expansion_count(ref)
+    fast, ref = point_tree(text), point_tree(text)
+    assert digits_at(fast, q, n) == apply(ref, stream_at(q)).take(n)
+    assert expansion_count(fast) == expansion_count(ref)
 
 
 def test_modulus_constant():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdreal.ctree import WriteNode, compose, constant_tree
+from sdreal.ctree import MirrorRead, WriteNode, compose, constant_tree
 from sdreal.digitsys import lin_tree, logistic_tree, quad_tree
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.integrate import integral
@@ -67,8 +67,8 @@ def test_error_bound_vs_oracle(expr):
     ],
 )
 def test_error_bound_vs_oracle_composed(expr):
-    # composed trees fold both branches of every read (no mirror
-    # shortcut), so the node count doubles per k; k = 12 keeps this short
+    # composed trees fold both branches of every read that does not mirror
+    # them, so the node count grows fast with k; k = 12 keeps this short
     t = to_tree_of(expr)
     want = integral_exact(expr)
     assert type(want) is Fraction  # a bare int coefficient would give a float
@@ -168,3 +168,14 @@ def test_mirror_shortcut_visits():
     res = integral(logistic_tree(2), 14)
     assert res.value == Rat(89478149, 134217728)
     assert res.nodes_visited == 97_671
+
+
+def test_mirror_shortcut_through_unary_composition():
+    # logistic(3/2) reads its even root with a MirrorRead, and f o g keeps
+    # it, so the fold takes one branch of it: 146,827 visits when compose
+    # emitted a plain ReadNode for every read
+    t = to_tree(Comp(Lin(Rat(1, 2), Rat(1, 2)), Logistic(Rat(3, 2))))
+    assert type(t.root) is MirrorRead
+    res = integral(t, 14)
+    assert res.value == Rat(536870311, 536870912)
+    assert res.nodes_visited == 73_414

@@ -19,6 +19,7 @@ from sdreal.sdstream import (
     cycle,
     digits_from_str,
     digits_str,
+    digits_value,
     from_digits,
     select_digit,
     sigma_approx,
@@ -55,6 +56,36 @@ def test_sigma_denominator_divides_power_of_two():
     s = cauchy_to_stream(const_seq(Rat(7, 10)))
     for n in range(1, 40):
         assert 2**n % sigma_approx(s, n).denominator == 0
+
+
+@given(st.lists(st.sampled_from(DIGITS), max_size=300))
+def test_digits_value_matches_horner_sum(digits):
+    acc = 0
+    for d in digits:
+        acc = 2 * acc + int(d)
+    assert digits_value(digits) == Rat(acc, 2 ** len(digits))
+
+
+def counted_stream(forced):
+    """P, P, ... with each forced tail recorded in `forced`."""
+
+    def tail():
+        forced.append(1)
+        return counted_stream(forced)
+
+    return DigitStream(P, tail)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_take_and_sigma_force_no_tail_past_the_last_digit(n):
+    # reading n digits forces n - 1 tails: a forced tail computes the
+    # next digit, and a tree walk behind it would expand nodes for it
+    for read in (DigitStream.take, sigma_approx):
+        forced = []
+        read(counted_stream(forced), n)
+        assert len(forced) == max(n - 1, 0)
+    assert counted_stream([]).take(n) == [P] * n
+    assert sigma_approx(counted_stream([]), n) == 1 - Rat(1, 2**n)
 
 
 def test_select_digit():
