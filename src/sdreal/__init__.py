@@ -7,11 +7,9 @@ memoized continuity trees.  See the module docstrings of `sdstream`,
 
 from .ctree import (
     CTree,
-    DigitalSystem,
     ReadNode,
     WriteNode,
     apply,
-    as_stream,
     build_tree,
     check_productive,
     compose,

@@ -132,13 +132,13 @@ def _cmd_bench(args, out):
 
 
 _FLOAT_ITERATIONS = 100
-_FLOAT_POINT = 0.7
 
 
-def float_iterate(a=2.0, x=_FLOAT_POINT, n=_FLOAT_ITERATIONS):
-    """Unverified IEEE-754 binary64 iteration of the logistic map."""
-    for _ in range(n):
-        x = a * (1 - x * x) - 1
+def float_iterate():
+    """Unverified IEEE-754 binary64 iteration of logistic(2) from 0.7."""
+    x = 0.7
+    for _ in range(_FLOAT_ITERATIONS):
+        x = 2.0 * (1 - x * x) - 1
     return x
 
 

@@ -25,9 +25,7 @@ calls the step once and looks each successor state up in the family's memo.
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
 from sys import getrecursionlimit
-from typing import Callable
 
 from .errors import DomainError, ResourceLimitError
 from .sdstream import DIGITS, DigitStream, SignedDigit, digits_value, unit_point
@@ -85,17 +83,6 @@ class ExpansionStats:
         return acc
 
 
-@dataclass(frozen=True)
-class DigitalSystem:
-    """step(state) returns a fresh node naming successor states in place
-    of subtrees: WriteNode(digit, state) or ReadNode(index, (s_N, s_Z,
-    s_P)).  The unfold swaps those states for trees in that very node, so
-    the node keeps its class (a MirrorRead stays one)."""
-
-    arity: int
-    step: Callable
-
-
 class CTree:
     """n-ary continuity tree: one state of a digital system, its node
     expanded on first demand and cached.  The family class `build_tree`
@@ -134,16 +121,20 @@ class CTree:
         return self._node is not None
 
 
-def build_tree(system, start, parents=()):
-    """Unfold a digital system from `start` into a lazy tree.
+def build_tree(arity, step, start, parents=()):
+    """Unfold the digital system (arity, step) from `start` into a lazy tree.
 
-    States key a memo, so they must be hashable: each distinct state owns
-    exactly one tree object, cached after its first expansion.  `parents`
-    are the stats of the trees the system's states hold, so that
-    `expansion_count` includes their expansions too.
+    step(state) returns a fresh node naming successor states in place of
+    subtrees: WriteNode(digit, state) or ReadNode(index, (s_N, s_Z, s_P)).
+    The unfold swaps those states for trees in that very node, so the node
+    keeps its class (a MirrorRead stays one).  States key a memo, so they
+    must be hashable: each distinct state owns exactly one tree object,
+    cached after its first expansion.  `parents` are the stats of the
+    trees the system's states hold, so that `expansion_count` includes
+    their expansions too.
     """
     cls = type("CTree", (CTree,), dict(
-        __slots__=(), arity=system.arity, step=system.step, memo={},
+        __slots__=(), arity=arity, step=step, memo={},
         stats=ExpansionStats(parents),
     ))
     return cls.memo.setdefault(start, cls(start))
@@ -178,8 +169,7 @@ def expansion_count(t):
 
 def constant_tree(digit, arity=1):
     """The one-node cyclic tree writing `digit` forever."""
-    system = DigitalSystem(arity, lambda d: WriteNode(d, d))
-    return build_tree(system, SignedDigit(digit))
+    return build_tree(arity, lambda d: WriteNode(d, d), SignedDigit(digit))
 
 
 def apply(t, inputs):
@@ -204,11 +194,6 @@ def apply(t, inputs):
         return DigitStream(node.digit, lambda: step(nxt, rest))
 
     return step(t, inputs)
-
-
-def as_stream(t):
-    """A 0-ary tree read off as the digit stream it is."""
-    return apply(t, ())
 
 
 def digits_at(t, q, count):
@@ -283,7 +268,7 @@ def feed_digit(t, i, d):
         return type(node)(node.index, succ)
 
     queues = ((),) * (i - 1) + ((SignedDigit(d),),) + ((),) * (t.arity - i)
-    return build_tree(DigitalSystem(t.arity, step), (t, queues), (t.stats,))
+    return build_tree(t.arity, step, (t, queues), (t.stats,))
 
 
 def compose(f, gs):
@@ -349,7 +334,7 @@ def compose(f, gs):
             return read(j, (sn, sz, (fpos, pp, *cur)))
 
     parents = (f.stats,) + tuple(g.stats for g in gs)
-    return build_tree(DigitalSystem(m, step), (f, None, *gs), parents)
+    return build_tree(m, step, (f, None, *gs), parents)
 
 
 def check_depth(depth, what):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Callable
 
-from .ctree import DigitalSystem, MirrorRead, ReadNode, WriteNode
+from .ctree import MirrorRead, ReadNode, WriteNode
 from .ctree import build_tree, check_depth, compose
 from .errors import DomainError
 from .rationals import Rat, rat_str
@@ -81,7 +81,7 @@ def lin_tree(u, v):
         return ReadNode(i + 1, tuple((half, V + d * ui, S) for d in DIGITS))
 
     *U, V, S = _integer_state(*u, v)
-    return build_tree(DigitalSystem(n, step), (tuple(U), V, S))
+    return build_tree(n, step, (tuple(U), V, S))
 
 
 def quad_range(u, v, w):
@@ -151,9 +151,6 @@ def _quad_step(state):
     ))
 
 
-_QUAD = DigitalSystem(1, _quad_step)
-
-
 def quad_tree(u, v, w):
     """Tree for x -> u x^2 + v x + w, which must map [-1,1] into itself.
 
@@ -165,7 +162,7 @@ def quad_tree(u, v, w):
     low, high = quad_range(u, v, w)
     if low < -1 or high > 1:
         raise DomainError(f"{_atom('quad', u, v, w)} does not map I into I")
-    return build_tree(_QUAD, _integer_state(u, v, w))
+    return build_tree(1, _quad_step, _integer_state(u, v, w))
 
 
 def logistic_tree(a):
@@ -179,8 +176,8 @@ def logistic_tree(a):
 def iterate_tree(t, n):
     """n-fold self-composition, left-nested: f^(k+1) = f^k . f.
 
-    A walk takes a stack frame per layer, so n above the recursion limit
-    is a resource limit, raised before any layer is built.
+    A walk nests two stack frames per layer, so n above the recursion
+    limit is a resource limit, raised before any layer is built.
     """
     if n < 1:
         raise DomainError(f"iteration count {n} must be >= 1")
@@ -238,4 +235,4 @@ def tree_from_modulus(ev):
             return WriteNode(d, (m, p, j + 1, 2 * t + d))
         return ReadNode(1, tuple((2 * m + d, p + 1, j, t) for d in DIGITS))
 
-    return build_tree(DigitalSystem(1, step), (0, 0, 0, 0))
+    return build_tree(1, step, (0, 0, 0, 0))

@@ -7,7 +7,7 @@ class DomainError(ValueError):
 
 
 class ParseError(ValueError):
-    """Syntax error in the expression DSL. Carries the byte offset."""
+    """Syntax error in the DSL; carries its 1-based character offset."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")

@@ -12,7 +12,7 @@ Grammar (whitespace-insensitive between tokens)::
     nat  := digits
 
 The AST is plain frozen dataclasses, unchecked.  Decimal literals convert
-exactly (1.5 is 3/2).  Syntax errors carry 1-based byte offsets; range
+exactly (1.5 is 3/2).  Syntax errors carry 1-based character offsets; range
 errors surface from `to_tree`, through the tree builders' one check each.
 Parentheses and pow( nest at most MAX_NESTING deep: the parser recurses
 once per level.
@@ -139,13 +139,13 @@ class _Parser:
         if kind == "name":
             self.next()
             if text == "lin":
-                args = self.parse_args(self.parse_rat, 2)
+                args = self.parse_rats(2)
                 return Lin(*args)
             if text == "quad":
-                args = self.parse_args(self.parse_rat, 3)
+                args = self.parse_rats(3)
                 return Quad(*args)
             if text == "logistic":
-                args = self.parse_args(self.parse_rat, 1)
+                args = self.parse_rats(1)
                 return Logistic(*args)
             if text == "pow":
                 self.expect("(")
@@ -157,12 +157,12 @@ class _Parser:
             raise ParseError(f"unknown function {text!r}", pos + 1)
         self.fail("a function")
 
-    def parse_args(self, sub, count):
+    def parse_rats(self, count):
         self.expect("(")
-        args = [sub()]
+        args = [self.parse_rat()]
         for _ in range(count - 1):
             self.expect(",")
-            args.append(sub())
+            args.append(self.parse_rat())
         self.expect(")")
         return args
 

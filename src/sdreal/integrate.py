@@ -31,8 +31,8 @@ def integral(t, k, max_nodes=None):
     """Approximate the integral of the realized function over [-1,1] to
     within 2^(1-k).
 
-    `max_nodes` caps the fold on adversarial (read-heavy) trees; hitting
-    it raises ResourceLimitError rather than returning a wrong value.
+    `max_nodes` caps the nodes the fold visits, writes included: reads
+    check it as they go, write-only paths once the fold returns.
     """
     if t.arity != 1:
         raise DomainError("integral is defined for unary trees")
@@ -40,6 +40,11 @@ def integral(t, k, max_nodes=None):
         raise DomainError("precision must be >= 0")
     limit = max_nodes if max_nodes is not None else 1 << 62
     budget = limit
+
+    def exceeded():
+        return ResourceLimitError(
+            f"integration exceeded the {max_nodes}-node budget"
+        )
 
     def fold(tree, k):
         # returns (num, p) with value = num / 2^p; a chain of digits
@@ -60,9 +65,7 @@ def integral(t, k, max_nodes=None):
             node = tree._node or tree.root
         budget -= m + 1
         if budget < 0:
-            raise ResourceLimitError(
-                f"integration exceeded the {max_nodes}-node budget"
-            )
+            raise exceeded()
         bn, _, bp = node.branches
         if type(node) is MirrorRead:
             # x -> g(-x) has the same integral, digit for digit, so the
@@ -85,4 +88,6 @@ def integral(t, k, max_nodes=None):
     if k:
         with collector_paused():
             num, p = fold(t, k)
+    if budget < 0:
+        raise exceeded()
     return IntegralResult(Rat(num, 1 << p), Rat(2, 2**k), limit - budget)

@@ -81,10 +81,9 @@ def constant(d):
     return s
 
 
-def from_digits(prefix, rest=None):
-    """Stream starting with `prefix` and continuing with `rest`
-    (default: all zeros)."""
-    s = rest if rest is not None else constant(Z)
+def from_digits(prefix):
+    """Stream starting with `prefix` and continuing with zeros."""
+    s = constant(Z)
     for d in reversed(prefix):
         s = DigitStream(d, s)
     return s

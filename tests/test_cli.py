@@ -238,6 +238,13 @@ def test_resource_limit_exit_code():
     assert code == 3
 
 
+def test_max_nodes_caps_write_only_paths():
+    # lin(0,0) only writes: 100 visits pass a budget of 100, not of 3
+    argv = ("integrate", "lin(0,0)", "--prec", "100", "--max-nodes")
+    assert run(*argv, "3") == (3, "")
+    assert run(*argv, "100") == (0, f"0 (error bound 1/{2**99})\n")
+
+
 @pytest.mark.parametrize("flag", [("--max-nodes", "0"), ("--max-nodes=-1",)])
 def test_max_nodes_must_be_positive(flag, capsys):
     code, out = run("integrate", "lin(0,0)", "--prec", "4", *flag)

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from sdreal.ctree import (
     RENDER_MAX_NODES,
     CTree,
-    DigitalSystem,
     ExpansionStats,
     ReadNode,
     WriteNode,
     apply,
-    as_stream,
     build_tree,
     check_productive,
     collector_paused,
@@ -65,7 +63,7 @@ def identity_tree():
 
 
 def read_forever_tree():
-    return build_tree(DigitalSystem(1, lambda s: ReadNode(1, (s, s, s))), 0)
+    return build_tree(1, lambda s: ReadNode(1, (s, s, s)), 0)
 
 
 def test_apply_constant():
@@ -474,8 +472,8 @@ def copy_tree():
     """Reads an input digit, then writes it: output digits are the input
     digits, so the walk's choice at a tie shows in the answer."""
     return build_tree(
-        DigitalSystem(1, lambda s: ReadNode(1, DIGITS) if s is None
-                      else WriteNode(s, None)),
+        1,
+        lambda s: ReadNode(1, DIGITS) if s is None else WriteNode(s, None),
         None,
     )
 
@@ -660,7 +658,6 @@ def test_expansion_counts():
 
 def test_arity0_coherence():
     t = constant_tree(P, arity=0)
-    assert as_stream(t).take(5) == [P] * 5
     assert apply(t, ()).take(5) == [P] * 5
 
 
@@ -723,7 +720,7 @@ def raises_when_expanded():
             raise DomainError("state 3 has no step")
         return ReadNode(1, (s + 1,) * 3)
 
-    return build_tree(DigitalSystem(1, step), 0)
+    return build_tree(1, step, 0)
 
 
 def test_collector_restored_after_return_and_errors(collector_on):

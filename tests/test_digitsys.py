@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sdreal import digitsys
 from sdreal.ctree import (
-    DigitalSystem,
     MirrorRead,
     ReadNode,
     WriteNode,
@@ -56,14 +55,13 @@ def digits_of(t, n, at=None):
 
 
 def test_build_tree_constant_writer():
-    sys = DigitalSystem(1, lambda s: WriteNode(Z, s))
-    t = build_tree(sys, ())
+    t = build_tree(1, lambda s: WriteNode(Z, s), ())
     assert digits_of(t, 6) == [Z] * 6
 
 
 def test_build_tree_write_free_not_productive():
-    sys = DigitalSystem(1, lambda s: ReadNode(1, (s, s, s)))
-    assert not check_productive(build_tree(sys, 0), 1, 64)
+    t = build_tree(1, lambda s: ReadNode(1, (s, s, s)), 0)
+    assert not check_productive(t, 1, 64)
 
 
 def affine_step(state):
@@ -78,10 +76,9 @@ def affine_step(state):
 def test_build_tree_unhashable_states():
     # states key the memo: a list state fails at build time, and equal
     # tuple states share one tree
-    sys = DigitalSystem(1, affine_step)
     with pytest.raises(TypeError):
-        build_tree(sys, [Rat(0), Rat(0)])
-    shared = build_tree(sys, (Rat(0), Rat(0)))
+        build_tree(1, affine_step, [Rat(0), Rat(0)])
+    shared = build_tree(1, affine_step, (Rat(0), Rat(0)))
     assert shared.root.next is shared
 
 
@@ -117,7 +114,7 @@ def lin_reference(u, v):
             tuple((half, sv + ui * int(d) / 2) for d in DIGITS),
         )
 
-    return build_tree(DigitalSystem(n, step), (u, v))
+    return build_tree(n, step, (u, v))
 
 
 def flat(state):
@@ -294,7 +291,7 @@ def quad_reference(u, v, w):
                 return WriteNode(e, _quad_write(state, e))
         return ReadNode(1, tuple(_quad_read(state, d) for d in DIGITS))
 
-    return build_tree(DigitalSystem(1, step), (u, v, w))
+    return build_tree(1, step, (u, v, w))
 
 
 @st.composite
@@ -484,7 +481,7 @@ def modulus_reference(ev):
             tuple((c + int(d) * r / 2, r / 2, j, t) for d in DIGITS),
         )
 
-    return build_tree(DigitalSystem(1, step), start)
+    return build_tree(1, step, start)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdreal.ctree import MirrorRead, WriteNode, compose, constant_tree
+from sdreal.ctree import (
+    MirrorRead,
+    WriteNode,
+    compose,
+    constant_tree,
+    feed_digit,
+)
 from sdreal.digitsys import lin_tree, logistic_tree, quad_tree
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.integrate import integral
@@ -112,6 +118,17 @@ def test_resource_limit_reported():
         integral(logistic_tree(2), 16, max_nodes=10)
 
 
+def test_budget_counts_write_only_paths():
+    # a constant tree never reads, so its 50 visits are all writes: the
+    # budget still holds them, raising exactly past max_nodes
+    with pytest.raises(ResourceLimitError, match="1-node budget"):
+        integral(constant_tree(Z), 50, max_nodes=1)
+    with pytest.raises(ResourceLimitError):
+        integral(constant_tree(Z), 50, max_nodes=49)
+    res = integral(constant_tree(Z), 50, max_nodes=50)
+    assert res.value == 0 and res.nodes_visited == 50
+
+
 def plain_integral(t, k):
     # reference fold: the two integral identities on Fractions, folding
     # both branches of every read (no mirror shortcut, no integer pairs)
@@ -155,6 +172,8 @@ def test_fold_matches_plain_rule_on_quads(t, k):
             lin_tree([Rat(1, 2), Rat(1, 2)], 0),
             (logistic_tree(2), logistic_tree(Rat(3, 2))),
         ),
+        # a fed Z keeps logistic even, so the fed tree reaches MirrorReads
+        lambda: feed_digit(logistic_tree(2), 1, Z),
     ],
 )
 def test_fold_matches_plain_rule_on_composed(make):
