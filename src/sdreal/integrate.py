@@ -7,10 +7,15 @@ splits [-1,1] at 0, averaging the N and P branches.  The Z branch is
 and x -> (x+1)/2, not a trisection.  Precision k costs an error of at
 most 2^(1-k); k = 0 returns 0 with bound 2.
 
-The fold carries dyadic values as (numerator, 2-exponent) integer pairs
-and walks write chains iteratively.  Every node it expands stays alive in
-its family's memo, in class-memo-node cycles, so it runs under
-ctree.collector_paused: a collection would rescan them all and free nothing.
+Both entries carry dyadic values as (numerator, 2-exponent) integer pairs
+and walk write chains iteratively, under ctree.collector_paused.
+`integral` folds the tree itself: every node it expands stays alive in its
+family's memo, so a repeat call expands nothing.  `integral_once` folds
+the outermost system's states through its step and builds no tree for
+them, so it retains nothing once it returns; a read it reaches at a
+(state, precision) pair already folded is counted and not descended,
+which makes finite-state folds linear.  The two fold bodies are the one
+duplication: sharing a per-visit call would slow the cached fold.
 """
 
 from dataclasses import dataclass
@@ -27,24 +32,30 @@ class IntegralResult:
     nodes_visited: int
 
 
-def integral(t, k, max_nodes=None):
-    """Approximate the integral of the realized function over [-1,1] to
-    within 2^(1-k).
+def _over_budget(limit):
+    return ResourceLimitError(f"integration exceeded the {limit}-node budget")
 
-    `max_nodes` caps the nodes the fold visits, writes included: reads
-    check it as they go, write-only paths once the fold returns.
-    """
+
+def _integrate(fold, t, k, max_nodes):
+    """Check the arguments, run fold(t, k, limit) -> (num, p, budget left)
+    with the collector paused, and check the budget once more, so that a
+    write-only path counts against it too."""
     if t.arity != 1:
         raise DomainError("integral is defined for unary trees")
     if k < 0:
         raise DomainError("precision must be >= 0")
     limit = max_nodes if max_nodes is not None else 1 << 62
-    budget = limit
+    num, p, budget = 0, 0, limit
+    if k:
+        with collector_paused():
+            num, p, budget = fold(t, k, limit)
+    if budget < 0:
+        raise _over_budget(limit)
+    return IntegralResult(Rat(num, 1 << p), Rat(2, 2**k), limit - budget)
 
-    def exceeded():
-        return ResourceLimitError(
-            f"integration exceeded the {max_nodes}-node budget"
-        )
+
+def _tree_fold(t, k, limit):
+    budget = limit
 
     def fold(tree, k):
         # returns (num, p) with value = num / 2^p; a chain of digits
@@ -65,7 +76,7 @@ def integral(t, k, max_nodes=None):
             node = tree._node or tree.root
         budget -= m + 1
         if budget < 0:
-            raise exceeded()
+            raise _over_budget(limit)
         bn, _, bp = node.branches
         if type(node) is MirrorRead:
             # x -> g(-x) has the same integral, digit for digit, so the
@@ -84,10 +95,73 @@ def integral(t, k, max_nodes=None):
             return (acc << (p + 1)) + num, p + m
         return num, p
 
-    num, p = 0, 0
-    if k:
-        with collector_paused():
-            num, p = fold(t, k)
-    if budget < 0:
-        raise exceeded()
-    return IntegralResult(Rat(num, 1 << p), Rat(2, 2**k), limit - budget)
+    return (*fold(t, k), budget)
+
+
+def _state_fold(t, k, limit):
+    # _tree_fold on states: the step's nodes name successor states, and
+    # reads memoize their (num, p) per remaining precision, as modulus does
+    step = type(t).step
+    memo = [{} for _ in range(k + 1)]
+    budget = limit
+
+    def fold(state, k):
+        nonlocal budget
+        acc = 0
+        m = 0
+        node = step(state)
+        while type(node) is WriteNode:
+            acc = acc + acc + node.digit
+            m += 1
+            k -= 1
+            if k == 0:
+                budget -= m
+                return acc + acc, m
+            state = node.next
+            node = step(state)
+        budget -= m + 1
+        if budget < 0:
+            raise _over_budget(limit)
+        seen = memo[k]
+        got = seen.get(state)
+        if got is None:
+            bn, _, bp = node.branches
+            if type(node) is MirrorRead:
+                got = fold(bn, k)
+            else:
+                nn, pn = fold(bn, k)
+                np_, pp = fold(bp, k)
+                if pn > pp:
+                    got = nn + (np_ << (pn - pp)), pn + 1
+                else:
+                    got = (nn << (pp - pn)) + np_, pp + 1
+            seen[state] = got
+        if m:
+            num, p = got
+            return (acc << (p + 1)) + num, p + m
+        return got
+
+    return (*fold(t.state, k), budget)
+
+
+def integral(t, k, max_nodes=None):
+    """Approximate the integral of the realized function over [-1,1] to
+    within 2^(1-k).
+
+    `max_nodes` caps the nodes the fold visits, writes included: reads
+    check it as they go, write-only paths once the fold returns.  The
+    tree keeps every node the fold expands, so a repeat call is cheap.
+    """
+    return _integrate(_tree_fold, t, k, max_nodes)
+
+
+def integral_once(t, k, max_nodes=None):
+    """`integral` for a one-shot call: the same value and bound, with
+    nothing of t's own family expanded or retained (inner trees of a
+    composition still cache what its step reads of them).  A read whose
+    (state, precision) pair was already folded in this call counts one
+    visit against `max_nodes` and is not descended again, so
+    `nodes_visited` is at most `integral`'s, and equal to it where no two
+    reads meet (in practice, on quadratics with a nonzero x^2 term).
+    """
+    return _integrate(_state_fold, t, k, max_nodes)

@@ -137,6 +137,19 @@ def test_integrate():
     assert "error bound 1/128" in out
 
 
+@pytest.mark.parametrize(
+    "expr, prec, want",
+    [
+        # finite-state integrands: the tree fold ran out of its
+        # 50,000,000-visit budget on the first after about 9 s
+        ("lin(1/2,0)", "30", "0 (error bound 1/536870912)\n"),
+        ("lin(3/4,1/8)", "400", f"1/4 (error bound 1/{2**399})\n"),
+    ],
+)
+def test_integrate_finite_state_lin(expr, prec, want):
+    assert run("integrate", expr, "--prec", prec) == (0, want)
+
+
 def test_eval_max_precision():
     # 10000 is the largest --prec the CLI accepts; input conversion must
     # neither recurse per digit nor grow quadratically

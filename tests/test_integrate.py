@@ -9,15 +9,16 @@ from sdreal.ctree import (
     WriteNode,
     compose,
     constant_tree,
+    expansion_count,
     feed_digit,
 )
 from sdreal.digitsys import lin_tree, logistic_tree, quad_tree
 from sdreal.errors import DomainError, ResourceLimitError
-from sdreal.integrate import integral
+from sdreal.integrate import integral, integral_once
 from oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
 from sdreal.exprdsl import to_tree
 from sdreal.rationals import Rat
-from sdreal.sdstream import Z
+from sdreal.sdstream import N, P, Z
 
 
 def test_constant_zero_tree():
@@ -107,26 +108,30 @@ def test_adaptivity_soft():
 
 
 def test_arity_and_precision_errors():
-    with pytest.raises(DomainError):
-        integral(lin_tree([Rat(1, 4), Rat(1, 4)], 0), 4)
-    with pytest.raises(DomainError):
-        integral(constant_tree(Z), -1)
+    for integrate in (integral, integral_once):
+        with pytest.raises(DomainError):
+            integrate(lin_tree([Rat(1, 4), Rat(1, 4)], 0), 4)
+        with pytest.raises(DomainError):
+            integrate(constant_tree(Z), -1)
 
 
 def test_resource_limit_reported():
     with pytest.raises(ResourceLimitError):
         integral(logistic_tree(2), 16, max_nodes=10)
+    with pytest.raises(ResourceLimitError, match="10-node budget"):
+        integral_once(logistic_tree(2), 16, max_nodes=10)
 
 
 def test_budget_counts_write_only_paths():
     # a constant tree never reads, so its 50 visits are all writes: the
     # budget still holds them, raising exactly past max_nodes
-    with pytest.raises(ResourceLimitError, match="1-node budget"):
-        integral(constant_tree(Z), 50, max_nodes=1)
-    with pytest.raises(ResourceLimitError):
-        integral(constant_tree(Z), 50, max_nodes=49)
-    res = integral(constant_tree(Z), 50, max_nodes=50)
-    assert res.value == 0 and res.nodes_visited == 50
+    for integrate in (integral, integral_once):
+        with pytest.raises(ResourceLimitError, match="1-node budget"):
+            integrate(constant_tree(Z), 50, max_nodes=1)
+        with pytest.raises(ResourceLimitError):
+            integrate(constant_tree(Z), 50, max_nodes=49)
+        res = integrate(constant_tree(Z), 50, max_nodes=50)
+        assert res.value == 0 and res.nodes_visited == 50
 
 
 def plain_integral(t, k):
@@ -159,7 +164,16 @@ def quads(draw):
 @settings(max_examples=40, deadline=None)
 @given(quads(), st.integers(0, 12))
 def test_fold_matches_plain_rule_on_quads(t, k):
-    assert integral(t, k).value == plain_integral(t, k)
+    res = integral(t, k)
+    assert res.value == plain_integral(t, k)
+    once = integral_once(t, k)
+    assert (once.value, once.error_bound) == (res.value, res.error_bound)
+    if t.state[0]:
+        # reads of a proper quadratic never meet at one precision
+        assert once.nodes_visited == res.nodes_visited
+    else:
+        # u = 0 is a linear map, whose states repeat as lin's do
+        assert once.nodes_visited <= res.nodes_visited
 
 
 @pytest.mark.parametrize(
@@ -174,19 +188,26 @@ def test_fold_matches_plain_rule_on_quads(t, k):
         ),
         # a fed Z keeps logistic even, so the fed tree reaches MirrorReads
         lambda: feed_digit(logistic_tree(2), 1, Z),
+        lambda: feed_digit(logistic_tree(Rat(3, 2)), 1, N),
+        lambda: constant_tree(Z),
+        lambda: constant_tree(P),
     ],
 )
 def test_fold_matches_plain_rule_on_composed(make):
     t = make()
     for k in (0, 1, 5, 9, 12):
-        assert integral(t, k).value == plain_integral(t, k)
+        res = integral(t, k)
+        assert res.value == plain_integral(t, k)
+        # the one-shot fold on a fresh copy: same value, same visits
+        assert integral_once(make(), k) == res
 
 
 def test_mirror_shortcut_visits():
     # the shortcut fires at every read of an even state, as it always has
-    res = integral(logistic_tree(2), 14)
-    assert res.value == Rat(89478149, 134217728)
-    assert res.nodes_visited == 97_671
+    for integrate in (integral, integral_once):
+        res = integrate(logistic_tree(2), 14)
+        assert res.value == Rat(89478149, 134217728)
+        assert res.nodes_visited == 97_671
 
 
 def test_mirror_shortcut_through_unary_composition():
@@ -194,7 +215,46 @@ def test_mirror_shortcut_through_unary_composition():
     # it, so the fold takes one branch of it: 146,827 visits when compose
     # emitted a plain ReadNode for every read
     t = to_tree(Comp(Lin(Rat(1, 2), Rat(1, 2)), Logistic(Rat(3, 2))))
+    once = integral_once(t, 14)
     assert type(t.root) is MirrorRead
     res = integral(t, 14)
+    assert once == res
     assert res.value == Rat(536870311, 536870912)
     assert res.nodes_visited == 73_414
+
+
+@st.composite
+def lins(draw):
+    # u x + v on the 1/16 grid with |u| + |v| <= 1
+    u = draw(st.integers(-16, 16))
+    left = 16 - abs(u)
+    return lin_tree([Rat(u, 16)], Rat(draw(st.integers(-left, left)), 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lins(), st.integers(0, 12))
+def test_one_shot_fold_on_lin(t, k):
+    # lin's states repeat, and the one-shot fold descends a read met again
+    # at the same precision only once
+    once, res = integral_once(t, k), integral(t, k)
+    assert once.value == res.value == plain_integral(t, k)
+    assert once.error_bound == res.error_bound
+    assert once.nodes_visited <= res.nodes_visited
+
+
+def test_one_shot_fold_is_linear_on_finite_state_lin():
+    # the tree fold takes 3,145,725 visits on lin(1/2,0) at k = 20
+    t = lin_tree([Rat(1, 2)], 0)
+    visits = integral_once(t, 20).nodes_visited
+    assert visits == 153  # 8 k - 7: linear in k
+    # a read met again counts against the budget
+    assert integral_once(t, 20, max_nodes=visits).value == 0
+    with pytest.raises(ResourceLimitError):
+        integral_once(t, 20, max_nodes=visits - 1)
+    assert integral_once(lin_tree([Rat(3, 4)], Rat(1, 8)), 400).value == Rat(1, 4)
+
+
+def test_one_shot_fold_retains_nothing():
+    t = logistic_tree(Rat(3, 2))
+    assert integral_once(t, 12) == integral(logistic_tree(Rat(3, 2)), 12)
+    assert expansion_count(t) == 0
