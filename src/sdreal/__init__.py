@@ -31,7 +31,7 @@ from .digitsys import (
     tree_from_modulus,
 )
 from .errors import DomainError, ParseError, ResourceLimitError
-from .exprdsl import Comp, Lin, Logistic, Pow, Quad, parse, to_tree, unparse
+from .exprdsl import Comp, Lin, Logistic, Pow, Quad, parse, to_tree
 from .integrate import IntegralResult, integral, integral_once
 from .rationals import Rat, parse_rat, rat_str
 from .sdstream import (
@@ -39,7 +39,6 @@ from .sdstream import (
     SignedDigit,
     cauchy_to_stream,
     const_seq,
-    digits_from_str,
     digits_str,
     select_digit,
     sigma_approx,

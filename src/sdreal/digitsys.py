@@ -13,9 +13,8 @@ family), iterated self-composition, and trees synthesized from an honest
 uniform-continuity modulus.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
-from typing import Callable
 
 from .ctree import MirrorRead, ReadNode, WriteNode
 from .ctree import build_tree, check_depth, compose
@@ -188,8 +187,7 @@ def iterate_tree(t, n):
     return acc
 
 
-@dataclass(frozen=True)
-class ModulusEvaluator:
+class ModulusEvaluator(namedtuple("ModulusEvaluator", "approx modulus")):
     """Computable witness of uniform continuity of some f: I -> I.
 
     approx(c, r) returns q with f[ball_r(c)] inside ball_eps(q) whenever
@@ -199,8 +197,7 @@ class ModulusEvaluator:
     answer.  Honesty is the caller's obligation.
     """
 
-    approx: Callable
-    modulus: Callable
+    __slots__ = ()
 
 
 def _halvings(delta):

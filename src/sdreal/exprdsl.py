@@ -11,50 +11,29 @@ Grammar (whitespace-insensitive between tokens)::
     rat  := rationals.RAT_LITERAL        e.g. 1/3, - 1 / 3, -.25, 1.5
     nat  := digits
 
-The AST is plain frozen dataclasses, unchecked.  Decimal literals convert
-exactly (1.5 is 3/2).  Syntax errors carry 1-based character offsets; range
-errors surface from `to_tree`, through the tree builders' one check each.
+The AST is namedtuple records, unchecked; a record is a tuple, so it
+iterates, unpacks and equals a plain tuple of the same fields.  Decimal
+literals convert exactly (1.5 is 3/2).  Syntax errors carry 1-based
+character offsets; range errors surface from `to_tree`, through the tree
+builders' one check each.
 Parentheses and pow( nest at most MAX_NESTING deep: the parser recurses
 once per level.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ctree import compose
 from .digitsys import iterate_tree, lin_tree, logistic_tree, quad_tree
 from .errors import DomainError, ParseError
-from .rationals import RAT_LITERAL, parse_rat, rat_str
+from .rationals import RAT_LITERAL, parse_rat
 
 
-@dataclass(frozen=True)
-class Lin:
-    u: object
-    v: object
-
-
-@dataclass(frozen=True)
-class Quad:
-    u: object
-    v: object
-    w: object
-
-
-@dataclass(frozen=True)
-class Logistic:
-    a: object
-
-
-@dataclass(frozen=True)
-class Comp:
-    outer: object
-    inner: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    n: int
+Lin = namedtuple("Lin", "u v")
+Quad = namedtuple("Quad", "u v w")
+Logistic = namedtuple("Logistic", "a")
+Comp = namedtuple("Comp", "outer inner")
+Pow = namedtuple("Pow", "base n")
 
 
 _TOKEN = re.compile(
@@ -191,24 +170,6 @@ def parse(src):
     if kind != "eof":
         raise ParseError(f"trailing input {text!r}", pos + 1)
     return expr
-
-
-def unparse(e):
-    """Render a function expression back to DSL text; re-parses equal."""
-    if isinstance(e, Lin):
-        return f"lin({rat_str(e.u)}, {rat_str(e.v)})"
-    if isinstance(e, Quad):
-        return f"quad({rat_str(e.u)}, {rat_str(e.v)}, {rat_str(e.w)})"
-    if isinstance(e, Logistic):
-        return f"logistic({rat_str(e.a)})"
-    if isinstance(e, Pow):
-        return f"pow({unparse(e.base)}, {e.n})"
-    if isinstance(e, Comp):
-        inner = unparse(e.inner)
-        if isinstance(e.inner, Comp):
-            inner = f"({inner})"
-        return f"{unparse(e.outer)} o {inner}"
-    raise TypeError(f"not a function expression: {e!r}")
 
 
 def to_tree(e):

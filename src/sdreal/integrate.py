@@ -18,18 +18,15 @@ which makes finite-state folds linear.  The two fold bodies are the one
 duplication: sharing a per-visit call would slow the cached fold.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ctree import MirrorRead, WriteNode, collector_paused
 from .errors import DomainError, ResourceLimitError
 from .rationals import Rat
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: object  # exact rational
-    error_bound: object  # 2^(1-k)
-    nodes_visited: int
+# value: the exact rational; error_bound: 2^(1-k)
+IntegralResult = namedtuple("IntegralResult", "value error_bound nodes_visited")
 
 
 def _over_budget(limit):

@@ -89,18 +89,6 @@ def from_digits(prefix):
     return s
 
 
-def cycle(digits):
-    """Periodic stream repeating `digits` forever."""
-    if not digits:
-        raise ValueError("empty cycle")
-    first = None
-    nxt = None
-    for d in reversed(digits):
-        nxt = DigitStream(d, nxt if nxt is not None else (lambda: first))
-        first = nxt
-    return first
-
-
 _NAMES = {d: d.name for d in DIGITS}
 _P_PLACES = str.maketrans("NZP", "001")
 _N_PLACES = str.maketrans("NZP", "100")
@@ -109,10 +97,6 @@ _N_PLACES = str.maketrans("NZP", "100")
 def digits_str(digits):
     """Render digits as contiguous N/Z/P text, e.g. ``PPNPN``."""
     return "".join(map(_NAMES.__getitem__, digits))
-
-
-def digits_from_str(text):
-    return [SignedDigit[c] for c in text]
 
 
 def digits_value(digits):

@@ -4,7 +4,7 @@ import pytest
 
 from sdreal.ctree import ReadNode, WriteNode
 from sdreal.rationals import Rat
-from sdreal.sdstream import N, P, Z
+from sdreal.sdstream import N, P, Z, SignedDigit
 
 # rationals exercised by most semantic-agreement checks
 GRID = [
@@ -28,6 +28,11 @@ def grid():
 def within(a, b, n):
     """|a - b| <= 2^-n for exact rationals."""
     return abs(a - b) * 2**n <= 1
+
+
+def digits_from_str(text):
+    """Digits from N/Z/P text, the inverse of sdstream.digits_str."""
+    return [SignedDigit[c] for c in text]
 
 
 def quarter_rule(q):

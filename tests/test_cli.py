@@ -1,5 +1,7 @@
 import gc
 import io
+import os
+import subprocess
 import sys
 
 import pytest
@@ -8,9 +10,9 @@ from sdreal import cli
 from sdreal.cli import float_iterate, main
 from sdreal.exprdsl import MAX_NESTING
 from sdreal.rationals import Rat, parse_rat
-from sdreal.sdstream import digits_from_str, from_digits, sigma_approx
+from sdreal.sdstream import from_digits, sigma_approx
 
-from conftest import within
+from conftest import digits_from_str, within
 
 
 def run(*argv):
@@ -357,3 +359,20 @@ def test_float_demo():
 
 def test_float_iterate_value():
     assert repr(float_iterate()) == "-0.1571454279758806"
+
+
+def test_startup_imports_no_dataclasses_inspect_or_typing():
+    # -S keeps site's .pth hooks, which may import typing themselves, out
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys, sdreal.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

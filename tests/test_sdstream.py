@@ -16,8 +16,6 @@ from sdreal.sdstream import (
     cauchy_to_stream,
     const_seq,
     constant,
-    cycle,
-    digits_from_str,
     digits_str,
     digits_value,
     from_digits,
@@ -25,7 +23,20 @@ from sdreal.sdstream import (
     sigma_approx,
 )
 
-from conftest import quarter_rule, within
+from conftest import digits_from_str, quarter_rule, within
+
+
+def cycle(digits):
+    """Periodic stream repeating `digits` forever."""
+    if not digits:
+        raise ValueError("empty cycle")
+    first = None
+    nxt = None
+    for d in reversed(digits):
+        nxt = DigitStream(d, nxt if nxt is not None else (lambda: first))
+        first = nxt
+    return first
+
 
 rationals_in_I = st.fractions(min_value=-1, max_value=1, max_denominator=512)
 
