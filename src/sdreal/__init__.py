@@ -32,7 +32,7 @@ from .digitsys import (
 )
 from .errors import DomainError, ParseError, ResourceLimitError
 from .exprdsl import Comp, Lin, Logistic, Pow, Quad, parse, to_tree
-from .integrate import IntegralResult, integral, integral_once
+from .integrate import IntegralResult, integral
 from .rationals import Rat, parse_rat, rat_str
 from .sdstream import (
     DigitStream,

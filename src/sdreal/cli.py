@@ -16,7 +16,7 @@ from .ctree import digits_at, eval_at, expansion_count
 from .ctree import RENDER_MAX_DEPTH, render_ascii, render_dot
 from .errors import DomainError, ParseError, ResourceLimitError
 from .exprdsl import parse, to_tree
-from .integrate import integral_once
+from .integrate import integral
 from .rationals import decimal_str, parse_rat, rat_str
 from .sdstream import digits_str
 
@@ -99,7 +99,7 @@ def _cmd_digits(args, out):
 
 def _cmd_integrate(args, out):
     t = _compile(args)
-    res = integral_once(t, args.prec, max_nodes=args.max_nodes)
+    res = integral(t, args.prec, max_nodes=args.max_nodes)
     text = f"{rat_str(res.value)} (error bound {rat_str(res.error_bound)})\n"
     if args.decimal:
         text += (

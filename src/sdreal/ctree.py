@@ -16,8 +16,9 @@ object, so paths that meet in a state expand it once.
 Trees and families.  Every tree is one state of a digital system: a step
 maps a state to a write or read node whose children are successor states.
 `build_tree` gives each system its family, a slotless CTree subclass whose
-class attributes (arity, step, memo, stats) all its trees share, so a tree
-stores only its state and cached node.  `CTree.root` is the one unfold: it
+class attributes (arity, step, memo, folds, stats) all its trees share, so
+a tree stores only its state and cached node; `folds` is the integration
+fold's (state, precision) memo.  `CTree.root` is the one unfold: it
 calls the step once and looks each successor state up in the family's memo.
 `lin_tree`, `quad_tree`, `tree_from_modulus`, `compose`, `feed_digit` and
 `constant_tree` are all such systems.
@@ -86,8 +87,9 @@ class ExpansionStats:
 class CTree:
     """n-ary continuity tree: one state of a digital system, its node
     expanded on first demand and cached.  The family class `build_tree`
-    makes holds arity, step, memo and stats.  `root` calls the step itself,
-    so a walk through n composed layers nests two frames per layer."""
+    makes holds arity, step, memo, folds and stats.  `root` calls the step
+    itself, so a walk through n composed layers nests two frames per
+    layer."""
 
     __slots__ = ("_node", "state")
 
@@ -134,7 +136,7 @@ def build_tree(arity, step, start, parents=()):
     their expansions too.
     """
     cls = type("CTree", (CTree,), dict(
-        __slots__=(), arity=arity, step=step, memo={},
+        __slots__=(), arity=arity, step=step, memo={}, folds=[],
         stats=ExpansionStats(parents),
     ))
     return cls.memo.setdefault(start, cls(start))

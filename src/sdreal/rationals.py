@@ -51,7 +51,7 @@ def parse_rat(text):
     shape, such as ``1_000``, ``1.`` or ``1e3`` (an exponent builds
     10^exponent), or a zero denominator is a DomainError."""
     text = text.strip()
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
     if limit and longest > limit:
         raise DomainError(

@@ -142,8 +142,9 @@ def test_integrate():
 @pytest.mark.parametrize(
     "expr, prec, want",
     [
-        # finite-state integrands: the tree fold ran out of its
-        # 50,000,000-visit budget on the first after about 9 s
+        # finite-state integrands: a fold without the (state, precision)
+        # memo ran out of its 50,000,000-visit budget on the first after
+        # about 9 s
         ("lin(1/2,0)", "30", "0 (error bound 1/536870912)\n"),
         ("lin(3/4,1/8)", "400", f"1/4 (error bound 1/{2**399})\n"),
     ],

@@ -411,7 +411,7 @@ WORK_PINS = {
         lambda: logistic_tree(Rat(3, 2)),
         integral_answer,
         (Rat(-1, 131072), 18_277),
-        13_751,
+        0,
     ),
 }
 

@@ -12,9 +12,9 @@ from sdreal.ctree import (
     expansion_count,
     feed_digit,
 )
-from sdreal.digitsys import lin_tree, logistic_tree, quad_tree
+from sdreal.digitsys import lin_tree, logistic_tree
 from sdreal.errors import DomainError, ResourceLimitError
-from sdreal.integrate import integral, integral_once
+from sdreal.integrate import integral
 from oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
 from sdreal.exprdsl import to_tree
 from sdreal.rationals import Rat
@@ -108,30 +108,26 @@ def test_adaptivity_soft():
 
 
 def test_arity_and_precision_errors():
-    for integrate in (integral, integral_once):
-        with pytest.raises(DomainError):
-            integrate(lin_tree([Rat(1, 4), Rat(1, 4)], 0), 4)
-        with pytest.raises(DomainError):
-            integrate(constant_tree(Z), -1)
+    with pytest.raises(DomainError):
+        integral(lin_tree([Rat(1, 4), Rat(1, 4)], 0), 4)
+    with pytest.raises(DomainError):
+        integral(constant_tree(Z), -1)
 
 
 def test_resource_limit_reported():
-    with pytest.raises(ResourceLimitError):
-        integral(logistic_tree(2), 16, max_nodes=10)
     with pytest.raises(ResourceLimitError, match="10-node budget"):
-        integral_once(logistic_tree(2), 16, max_nodes=10)
+        integral(logistic_tree(2), 16, max_nodes=10)
 
 
 def test_budget_counts_write_only_paths():
     # a constant tree never reads, so its 50 visits are all writes: the
     # budget still holds them, raising exactly past max_nodes
-    for integrate in (integral, integral_once):
-        with pytest.raises(ResourceLimitError, match="1-node budget"):
-            integrate(constant_tree(Z), 50, max_nodes=1)
-        with pytest.raises(ResourceLimitError):
-            integrate(constant_tree(Z), 50, max_nodes=49)
-        res = integrate(constant_tree(Z), 50, max_nodes=50)
-        assert res.value == 0 and res.nodes_visited == 50
+    with pytest.raises(ResourceLimitError, match="1-node budget"):
+        integral(constant_tree(Z), 50, max_nodes=1)
+    with pytest.raises(ResourceLimitError):
+        integral(constant_tree(Z), 50, max_nodes=49)
+    res = integral(constant_tree(Z), 50, max_nodes=50)
+    assert res.value == 0 and res.nodes_visited == 50
 
 
 def plain_integral(t, k):
@@ -149,6 +145,21 @@ def plain_integral(t, k):
     return fold(t, k)
 
 
+def path_visits(t, k):
+    # reference count: the visits of a fold without memo, one per write
+    # on the way to precision k and one per read, which descends one
+    # branch of a MirrorRead and both of any other
+    if k == 0:
+        return 0
+    node = t.root
+    if isinstance(node, WriteNode):
+        return 1 + path_visits(node.next, k - 1)
+    bn, _, bp = node.branches
+    if type(node) is MirrorRead:
+        return 1 + path_visits(bn, k)
+    return 1 + path_visits(bn, k) + path_visits(bp, k)
+
+
 @st.composite
 def quads(draw):
     # u x^2 + v x + w on the 1/8 grid with |u| + |v| + |w| <= 1; half of
@@ -158,22 +169,22 @@ def quads(draw):
     v = draw(st.just(0) | st.integers(-left, left))
     left -= abs(v)
     w = draw(st.integers(-left, left))
-    return quad_tree(Rat(u, 8), Rat(v, 8), Rat(w, 8))
+    return Quad(Rat(u, 8), Rat(v, 8), Rat(w, 8))
 
 
 @settings(max_examples=40, deadline=None)
 @given(quads(), st.integers(0, 12))
-def test_fold_matches_plain_rule_on_quads(t, k):
+def test_fold_matches_plain_rule_on_quads(q, k):
+    t = to_tree(q)
     res = integral(t, k)
     assert res.value == plain_integral(t, k)
-    once = integral_once(t, k)
-    assert (once.value, once.error_bound) == (res.value, res.error_bound)
-    if t.state[0]:
+    assert res.error_bound == Rat(2, 2**k)
+    if q.u:
         # reads of a proper quadratic never meet at one precision
-        assert once.nodes_visited == res.nodes_visited
+        assert res.nodes_visited == path_visits(t, k)
     else:
         # u = 0 is a linear map, whose states repeat as lin's do
-        assert once.nodes_visited <= res.nodes_visited
+        assert res.nodes_visited <= path_visits(t, k)
 
 
 @pytest.mark.parametrize(
@@ -196,18 +207,19 @@ def test_fold_matches_plain_rule_on_quads(t, k):
 def test_fold_matches_plain_rule_on_composed(make):
     t = make()
     for k in (0, 1, 5, 9, 12):
-        res = integral(t, k)
+        # a fresh tree: no read meets another, so every path is visited
+        res = integral(make(), k)
         assert res.value == plain_integral(t, k)
-        # the one-shot fold on a fresh copy: same value, same visits
-        assert integral_once(make(), k) == res
+        assert res.nodes_visited == path_visits(t, k)
+        # one tree across the loop: its family memo holds the smaller k's
+        assert integral(t, k)[:2] == res[:2]
 
 
 def test_mirror_shortcut_visits():
     # the shortcut fires at every read of an even state, as it always has
-    for integrate in (integral, integral_once):
-        res = integrate(logistic_tree(2), 14)
-        assert res.value == Rat(89478149, 134217728)
-        assert res.nodes_visited == 97_671
+    res = integral(logistic_tree(2), 14)
+    assert res.value == Rat(89478149, 134217728)
+    assert res.nodes_visited == 97_671
 
 
 def test_mirror_shortcut_through_unary_composition():
@@ -215,10 +227,8 @@ def test_mirror_shortcut_through_unary_composition():
     # it, so the fold takes one branch of it: 146,827 visits when compose
     # emitted a plain ReadNode for every read
     t = to_tree(Comp(Lin(Rat(1, 2), Rat(1, 2)), Logistic(Rat(3, 2))))
-    once = integral_once(t, 14)
-    assert type(t.root) is MirrorRead
     res = integral(t, 14)
-    assert once == res
+    assert type(t.root) is MirrorRead
     assert res.value == Rat(536870311, 536870912)
     assert res.nodes_visited == 73_414
 
@@ -228,33 +238,87 @@ def lins(draw):
     # u x + v on the 1/16 grid with |u| + |v| <= 1
     u = draw(st.integers(-16, 16))
     left = 16 - abs(u)
-    return lin_tree([Rat(u, 16)], Rat(draw(st.integers(-left, left)), 16))
+    return Lin(Rat(u, 16), Rat(draw(st.integers(-left, left)), 16))
 
 
 @settings(max_examples=40, deadline=None)
 @given(lins(), st.integers(0, 12))
-def test_one_shot_fold_on_lin(t, k):
-    # lin's states repeat, and the one-shot fold descends a read met again
-    # at the same precision only once
-    once, res = integral_once(t, k), integral(t, k)
-    assert once.value == res.value == plain_integral(t, k)
-    assert once.error_bound == res.error_bound
-    assert once.nodes_visited <= res.nodes_visited
+def test_one_shot_fold_on_lin(f, k):
+    # lin's states repeat, and the fold descends a read met again at the
+    # same precision only once
+    t = to_tree(f)
+    res = integral(t, k)
+    assert res.value == plain_integral(t, k)
+    assert res.error_bound == Rat(2, 2**k)
+    assert res.nodes_visited <= path_visits(t, k)
 
 
 def test_one_shot_fold_is_linear_on_finite_state_lin():
-    # the tree fold takes 3,145,725 visits on lin(1/2,0) at k = 20
-    t = lin_tree([Rat(1, 2)], 0)
-    visits = integral_once(t, 20).nodes_visited
+    # a fold without memo takes 3,145,725 visits on lin(1/2,0) at k = 20
+    def half():
+        return lin_tree([Rat(1, 2)], 0)
+
+    visits = integral(half(), 20).nodes_visited
     assert visits == 153  # 8 k - 7: linear in k
     # a read met again counts against the budget
-    assert integral_once(t, 20, max_nodes=visits).value == 0
+    assert integral(half(), 20, max_nodes=visits).value == 0
     with pytest.raises(ResourceLimitError):
-        integral_once(t, 20, max_nodes=visits - 1)
-    assert integral_once(lin_tree([Rat(3, 4)], Rat(1, 8)), 400).value == Rat(1, 4)
+        integral(half(), 20, max_nodes=visits - 1)
+    assert integral(lin_tree([Rat(3, 4)], Rat(1, 8)), 400).value == Rat(1, 4)
 
 
 def test_one_shot_fold_retains_nothing():
     t = logistic_tree(Rat(3, 2))
-    assert integral_once(t, 12) == integral(logistic_tree(Rat(3, 2)), 12)
+    u = logistic_tree(Rat(3, 2))
+    want = (plain_integral(u, 12), Rat(2, 2**12), path_visits(u, 12))
+    assert integral(t, 12) == want
     assert expansion_count(t) == 0
+
+
+@st.composite
+def integrands(draw):
+    # quads, lins and unary compositions of the two
+    atom = quads() | lins()
+    return draw(atom | st.builds(Comp, atom, atom))
+
+
+@settings(max_examples=30, deadline=None)
+@given(integrands(), st.lists(st.integers(0, 10), min_size=1, max_size=6))
+def test_family_memo_keeps_every_call_exact(f, ks):
+    # calls in a drawn order on one tree share its family's memo: each
+    # gives the plain rule's value and a fresh tree's result, in no more
+    # visits, and a repeat at the same k visits no more than the first
+    t = to_tree(f)
+    for k in ks:
+        res = integral(t, k)
+        fresh = integral(to_tree(f), k)
+        assert res.value == plain_integral(t, k)
+        assert res[:2] == fresh[:2]
+        assert res.nodes_visited <= fresh.nodes_visited
+        assert integral(t, k).nodes_visited <= res.nodes_visited
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: logistic_tree(Rat(3, 2)), 12),
+        (lambda: lin_tree([Rat(1, 2)], 0), 20),
+        (
+            lambda: to_tree(Comp(Lin(Rat(1, 2), Rat(1, 2)), Logistic(Rat(3, 2)))),
+            10,
+        ),
+    ],
+)
+def test_budget_stop_leaves_a_sound_memo(make, k):
+    # a call stopped by the budget mid-fold keeps only entries whose
+    # subfolds returned, so the next call, without a budget, is exact
+    want = integral(make(), k)
+    for limit in (1, want.nodes_visited // 3, want.nodes_visited - 1):
+        t = make()
+        with pytest.raises(ResourceLimitError):
+            integral(t, k, max_nodes=limit)
+        if limit > 1:
+            assert any(type(t).folds)
+        res = integral(t, k)
+        assert res[:2] == want[:2]
+        assert res.nodes_visited <= want.nodes_visited
