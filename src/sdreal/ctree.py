@@ -16,9 +16,11 @@ object, so paths that meet in a state expand it once.
 Trees and families.  Every tree is one state of a digital system: a step
 maps a state to a write or read node whose children are successor states.
 `build_tree` gives each system its family, a slotless CTree subclass whose
-class attributes (arity, step, memo, folds, stats) all its trees share, so
-a tree stores only its state and cached node; `folds` is the integration
-fold's (state, precision) memo.  `CTree.root` is the one unfold: it
+class attributes (arity, step, memo, folds, recurs, stats) all its trees
+share, so a tree stores only its state and cached node.  `folds` is the
+integration fold's (state, precision) memo; `recurs`, the builder's word
+on whether the fold's paths can meet a state twice, says whether it keeps
+reads or only each call's result.  `CTree.root` is the one unfold: it
 calls the step once and looks each successor state up in the family's memo.
 `lin_tree`, `quad_tree`, `tree_from_modulus`, `compose`, `feed_digit` and
 `constant_tree` are all such systems.
@@ -87,9 +89,9 @@ class ExpansionStats:
 class CTree:
     """n-ary continuity tree: one state of a digital system, its node
     expanded on first demand and cached.  The family class `build_tree`
-    makes holds arity, step, memo, folds and stats.  `root` calls the step
-    itself, so a walk through n composed layers nests two frames per
-    layer."""
+    makes holds arity, step, memo, folds, recurs and stats.  `root` calls
+    the step itself, so a walk through n composed layers nests two frames
+    per layer."""
 
     __slots__ = ("_node", "state")
 
@@ -123,7 +125,7 @@ class CTree:
         return self._node is not None
 
 
-def build_tree(arity, step, start, parents=()):
+def build_tree(arity, step, start, parents=(), recurs=True):
     """Unfold the digital system (arity, step) from `start` into a lazy tree.
 
     step(state) returns a fresh node naming successor states in place of
@@ -133,11 +135,15 @@ def build_tree(arity, step, start, parents=()):
     must be hashable: each distinct state owns exactly one tree object,
     cached after its first expansion.  `parents` are the stats of the
     trees the system's states hold, so that `expansion_count` includes
-    their expansions too.
+    their expansions too.  `recurs=False` declares that two paths from one
+    state, through writes and the N and P branches of reads, never meet
+    in a state after equally many writes, so `integrate.integral` keeps
+    no read of the family: a wrong False costs repeated visits, never a
+    wrong value.
     """
     cls = type("CTree", (CTree,), dict(
         __slots__=(), arity=arity, step=step, memo={}, folds=[],
-        stats=ExpansionStats(parents),
+        recurs=recurs, stats=ExpansionStats(parents),
     ))
     return cls.memo.setdefault(start, cls(start))
 

@@ -156,12 +156,15 @@ def quad_tree(u, v, w):
     Digits are tried in N, Z, P order and the first whose half-interval
     contains the whole image is written; if none fits, the input is read.
     The unfold runs on fraction-free integer states (see _quad_step).
+    With u != 0 no state recurs: the x^2 coefficient, scaled by 2 per
+    write and by 1/4 per read, fixes the reads after a given number of
+    writes, and then the x coefficient fixes their N/P digits.
     """
     u, v, w = Rat(u), Rat(v), Rat(w)
     low, high = quad_range(u, v, w)
     if low < -1 or high > 1:
         raise DomainError(f"{_atom('quad', u, v, w)} does not map I into I")
-    return build_tree(1, _quad_step, _integer_state(u, v, w))
+    return build_tree(1, _quad_step, _integer_state(u, v, w), recurs=u == 0)
 
 
 def logistic_tree(a):
@@ -218,6 +221,8 @@ def tree_from_modulus(ev):
     once ev.modulus(2^-(j+2)) >= 2^-p, which pins the image down to radius
     2^-(j+2); otherwise reading digit d halves the interval, to
     (2m + d, p + 1, j, t).  Fractions appear only in the calls to ev.
+    No state recurs: after equally many writes, N/P paths that part keep
+    distinct (m, p).
     """
     need = {}  # write level j -> least p at which level j writes
 
@@ -232,4 +237,4 @@ def tree_from_modulus(ev):
             return WriteNode(d, (m, p, j + 1, 2 * t + d))
         return ReadNode(1, tuple((2 * m + d, p + 1, j, t) for d in DIGITS))
 
-    return build_tree(1, step, (0, 0, 0, 0))
+    return build_tree(1, step, (0, 0, 0, 0), recurs=False)

@@ -10,10 +10,13 @@ most 2^(1-k); k = 0 returns 0 with bound 2.
 The fold carries dyadic values as (numerator, 2-exponent) integer pairs
 and walks write chains iteratively, under ctree.collector_paused.  It
 folds the states of t's digital system through its step and builds no
-tree for them.  Each read's value is memoized at its (state, remaining
-precision) pair in the family's `folds`, one dict per precision, so a
-read met again, in one call or a later one, is not descended:
-finite-state folds are linear, and a repeat call costs its write chain.
+tree for them.  Values are memoized at their (state, remaining
+precision) pair in the family's `folds`, one dict per precision: each
+call's result, so a repeat call is one lookup, and, in a family whose
+states can recur (`recurs`), each read's, so a read met again, in one
+call or a later one, is not descended and finite-state folds are linear.
+A family whose states cannot recur, such as a quadratic with an x^2
+term, keeps only the results: its reads would never be met again.
 """
 
 from collections import namedtuple
@@ -36,28 +39,33 @@ def integral(t, k, max_nodes=None):
     within 2^(1-k).
 
     The fold expands and retains nothing of t's own family (inner trees of
-    a composition still cache what its step reads of them).  It keeps each
-    read's value in the family's `folds` memo, which lives as long as the
-    family: a read whose (state, precision) pair the family has already
-    folded, in this call or an earlier one, counts one visit and is not
-    descended.  An entry is written only once its value is complete, so a
-    call stopped early leaves only sound entries.
+    a composition still cache what its step reads of them).  It keeps the
+    call's value, and in a family whose states can recur each read's, in
+    the family's `folds` memo, which lives as long as the family: a root
+    or read whose (state, precision) pair the family has already folded,
+    in this call or an earlier one, counts one visit and is not descended.
+    An entry is written only once its value is complete, and the call's
+    own only once the call succeeds, so a call stopped early leaves only
+    sound entries.
 
     `nodes_visited` counts this call's visits, writes included, and
     `max_nodes` caps them: reads check it as they go, write-only paths
-    once the fold returns.  So a repeat call at the same k visits its
-    write chain plus one read.
+    once the fold returns.  So a repeat call at the same k visits one
+    node.
     """
     if t.arity != 1:
         raise DomainError("integral is defined for unary trees")
     if k < 0:
         raise DomainError("precision must be >= 0")
+    if k == 0:
+        return IntegralResult(Rat(0), Rat(2), 0)
     limit = max_nodes if max_nodes is not None else 1 << 62
     budget = limit
     family = type(t)
     step = family.step
     folds = family.folds
     folds.extend({} for _ in range(len(folds), k + 1))
+    recurs = family.recurs
 
     def fold(state, k):
         # returns (num, p) with value = num / 2^p; a chain of digits
@@ -78,8 +86,7 @@ def integral(t, k, max_nodes=None):
         budget -= m + 1
         if budget < 0:
             raise _over_budget(limit)
-        seen = folds[k]
-        got = seen.get(state)
+        got = folds[k].get(state) if recurs else None
         if got is None:
             bn, _, bp = node.branches
             if type(node) is MirrorRead:
@@ -93,16 +100,22 @@ def integral(t, k, max_nodes=None):
                     got = nn + (np_ << (pn - pp)), pn + 1
                 else:
                     got = (nn << (pp - pn)) + np_, pp + 1
-            seen[state] = got
+            if recurs:
+                folds[k][state] = got
         if m:
             num, p = got
             return (acc << (p + 1)) + num, p + m
         return got
 
-    num, p = 0, 0
-    if k:
+    seen = folds[k]
+    got = seen.get(t.state)
+    if got is None:
         with collector_paused():
-            num, p = fold(t.state, k)
+            got = fold(t.state, k)
+    else:
+        budget -= 1  # the root, met again
     if budget < 0:
         raise _over_budget(limit)
+    seen[t.state] = got
+    num, p = got
     return IntegralResult(Rat(num, 1 << p), Rat(2, 2**k), limit - budget)

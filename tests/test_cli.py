@@ -1,6 +1,7 @@
 import gc
 import io
 import os
+import resource
 import subprocess
 import sys
 
@@ -321,6 +322,28 @@ def test_out_of_memory_is_a_resource_limit(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3 and out == ""
     assert err == "resource limit: out of memory\n"
+
+
+def test_integrate_fits_a_small_address_space():
+    # a quadratic's fold keeps no read, so k = 18 needs well under 128 MB;
+    # a fold that kept one entry per read ran out of memory here (exit 3)
+    cap = 128 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "from sdreal.cli import entry; entry()",
+         "integrate", "logistic(2)", "--prec", "18"],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "22906490517/34359738368 (error bound 1/131072)\n"
 
 
 def test_composed_layer_costs_two_frames():

@@ -12,10 +12,11 @@ from sdreal.ctree import (
     expansion_count,
     feed_digit,
 )
-from sdreal.digitsys import lin_tree, logistic_tree
+from sdreal.digitsys import lin_tree, logistic_tree, tree_from_modulus
 from sdreal.errors import DomainError, ResourceLimitError
 from sdreal.integrate import integral
 from oracle import Comp, Lin, Logistic, Pow, Quad, integral_exact
+from oracle import lipschitz_evaluator
 from sdreal.exprdsl import to_tree
 from sdreal.rationals import Rat
 from sdreal.sdstream import N, P, Z
@@ -275,6 +276,31 @@ def test_one_shot_fold_retains_nothing():
     assert expansion_count(t) == 0
 
 
+def test_quad_fold_keeps_only_the_call_result():
+    # a proper quadratic's reads never meet again, so its family keeps the
+    # call's result alone, and a repeat call is that one lookup
+    t = logistic_tree(Rat(3, 2))
+    res = integral(t, 12)
+    folds = type(t).folds
+    assert [len(d) for d in folds] == [0] * 12 + [1]
+    assert t.state in folds[12]
+    again = integral(t, 12)
+    assert again[:2] == res[:2]
+    assert again.nodes_visited == 1
+
+
+def test_tree_from_modulus_fold_keeps_no_read():
+    # read successors (2m +- 1, p + 1, j, t) keep N/P paths apart, so no
+    # read meets another and only the call's result is kept
+    ev = lipschitz_evaluator(Quad(Rat(9, 20), 0, 0))
+    t = tree_from_modulus(ev)
+    res = integral(t, 10)
+    u = tree_from_modulus(ev)
+    assert res.value == plain_integral(u, 10)
+    assert res.nodes_visited == path_visits(u, 10)
+    assert [len(d) for d in type(t).folds] == [0] * 10 + [1]
+
+
 @st.composite
 def integrands(draw):
     # quads, lins and unary compositions of the two
@@ -311,13 +337,16 @@ def test_family_memo_keeps_every_call_exact(f, ks):
 )
 def test_budget_stop_leaves_a_sound_memo(make, k):
     # a call stopped by the budget mid-fold keeps only entries whose
-    # subfolds returned, so the next call, without a budget, is exact
+    # subfolds returned, so the next call, without a budget, is exact;
+    # logistic's states cannot recur, so it keeps no read and no entry
     want = integral(make(), k)
     for limit in (1, want.nodes_visited // 3, want.nodes_visited - 1):
         t = make()
         with pytest.raises(ResourceLimitError):
             integral(t, k, max_nodes=limit)
-        if limit > 1:
+        if not type(t).recurs:
+            assert not any(type(t).folds)
+        elif limit > 1:
             assert any(type(t).folds)
         res = integral(t, k)
         assert res[:2] == want[:2]
