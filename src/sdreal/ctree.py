@@ -16,14 +16,17 @@ object, so paths that meet in a state expand it once.
 Trees and families.  Every tree is one state of a digital system: a step
 maps a state to a write or read node whose children are successor states.
 `build_tree` gives each system its family, a slotless CTree subclass whose
-class attributes (arity, step, memo, folds, recurs, stats) all its trees
-share, so a tree stores only its state and cached node.  `folds` is the
-integration fold's (state, precision) memo; `recurs`, the builder's word
-on whether the fold's paths can meet a state twice, says whether it keeps
-reads or only each call's result.  `CTree.root` is the one unfold: it
-calls the step once and looks each successor state up in the family's memo.
-`lin_tree`, `quad_tree`, `tree_from_modulus`, `compose`, `feed_digit` and
-`constant_tree` are all such systems.
+class attributes (arity, step, memo, folds, parents, recurs, stats) all
+its trees share, so a tree stores only its state and cached node.
+`parents`, the families of the trees the states hold (none for a base
+builder), make the one family graph: `expansion_count` sums over it, and
+a family recurs only if its parents all do.  `folds` is the integration
+fold's (state, precision) memo; `recurs`, whether the fold's paths can
+meet a state twice, says whether it keeps reads or only each call's
+result.  `CTree.root` is the one unfold: it calls the step once and looks
+each successor state up in the family's memo.  `lin_tree`, `quad_tree`,
+`tree_from_modulus`, `compose` and `constant_tree` are all such systems;
+`feed_digit` is a composition.
 """
 
 import gc
@@ -59,39 +62,20 @@ class MirrorRead(ReadNode):
 
 
 class ExpansionStats:
-    """Counts the node expansions of one family, all trees of one system.
+    """Counts the node expansions of one family, all trees of one system."""
 
-    A derived family (compose, feed_digit, ...) records the stats of the
-    trees its states hold as parents; `total` adds theirs transitively,
-    each once: every expansion evaluating a derived tree can cause.
-    """
+    __slots__ = ("count",)
 
-    __slots__ = ("count", "parents")
-
-    def __init__(self, parents=()):
+    def __init__(self):
         self.count = 0
-        self.parents = tuple(parents)
-
-    def total(self):
-        seen = set()
-        todo = [self]
-        acc = 0
-        while todo:
-            s = todo.pop()
-            if id(s) in seen:
-                continue
-            seen.add(id(s))
-            acc += s.count
-            todo.extend(s.parents)
-        return acc
 
 
 class CTree:
     """n-ary continuity tree: one state of a digital system, its node
     expanded on first demand and cached.  The family class `build_tree`
-    makes holds arity, step, memo, folds, recurs and stats.  `root` calls
-    the step itself, so a walk through n composed layers nests two frames
-    per layer."""
+    makes holds arity, step, memo, folds, parents, recurs and stats.
+    `root` calls the step itself, so a walk through n composed layers
+    nests two frames per layer."""
 
     __slots__ = ("_node", "state")
 
@@ -133,17 +117,20 @@ def build_tree(arity, step, start, parents=(), recurs=True):
     The unfold swaps those states for trees in that very node, so the node
     keeps its class (a MirrorRead stays one).  States key a memo, so they
     must be hashable: each distinct state owns exactly one tree object,
-    cached after its first expansion.  `parents` are the stats of the
+    cached after its first expansion.  `parents` are the families of the
     trees the system's states hold, so that `expansion_count` includes
     their expansions too.  `recurs=False` declares that two paths from one
     state, through writes and the N and P branches of reads, never meet
     in a state after equally many writes, so `integrate.integral` keeps
     no read of the family: a wrong False costs repeated visits, never a
-    wrong value.
+    wrong value.  A family whose parent cannot recur cannot either, so
+    only base builders declare it.
     """
+    parents = tuple(parents)
     cls = type("CTree", (CTree,), dict(
         __slots__=(), arity=arity, step=step, memo={}, folds=[],
-        recurs=recurs, stats=ExpansionStats(parents),
+        parents=parents, recurs=recurs and all(p.recurs for p in parents),
+        stats=ExpansionStats(),
     ))
     return cls.memo.setdefault(start, cls(start))
 
@@ -171,8 +158,16 @@ def collector_paused():
 
 
 def expansion_count(t):
-    """Total node expansions attributable to this tree so far."""
-    return t.stats.total()
+    """Node expansions so far of t's family and of every family it derives
+    from through `parents`, each family counted once."""
+    seen = {type(t)}
+    todo = [type(t)]
+    while todo:
+        for p in todo.pop().parents:
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return sum(family.stats.count for family in seen)
 
 
 def constant_tree(digit, arity=1):
@@ -245,38 +240,24 @@ def eval_at(t, q, n):
     return digits_value(digits_at(t, q, n))
 
 
-def _advance(g, queues):
-    """g moved past the reads its queued input digits answer, as (g, node,
-    queues) with node = g.root a write or a read of an input whose queue
-    is empty.  queues[j] holds the digits fed to input j+1, first first."""
-    node = g.root
-    while type(node) is not WriteNode and queues[node.index - 1]:
-        j = node.index - 1
-        g = node.branches[queues[j][0] + 1]
-        queues = queues[:j] + (queues[j][1:],) + queues[j + 1 :]
-        node = g.root
-    return g, node, queues
+# the identity, x -> x: read a digit, write it, start again
+_IDENTITY = build_tree(
+    1, lambda s: ReadNode(1, DIGITS) if s is None else WriteNode(s, None), None
+)
 
 
 def feed_digit(t, i, d):
     """Pre-compose input i with x -> (x+d)/2: the tree that behaves as if
-    digit d had already been read from input i.  A digital system over
-    (g, queues), g with its unread fed digits, as in `compose`.
+    digit d had already been read from input i.  It is the identity
+    composed with t, started at the composition state that has d queued
+    on t's input i, so its states are compose states and its
+    `expansion_count` includes the identity's (at most 4 expansions in a
+    process).
     """
     if not 1 <= i <= t.arity:
         raise DomainError(f"input index {i} out of range 1..{t.arity}")
-
-    def step(state):
-        g, node, queues = _advance(*state)
-        if type(node) is WriteNode:
-            return WriteNode(node.digit, (node.next, queues))
-        # this input's queue is empty, so a unary g is fed no more and its
-        # MirrorRead stays one
-        succ = tuple((b, queues) for b in node.branches)
-        return type(node)(node.index, succ)
-
     queues = ((),) * (i - 1) + ((SignedDigit(d),),) + ((),) * (t.arity - i)
-    return build_tree(t.arity, step, (t, queues), (t.stats,))
+    return _compose(_IDENTITY, (t,), (queues,))
 
 
 def compose(f, gs):
@@ -284,13 +265,16 @@ def compose(f, gs):
 
     A digital system over the flat states (fpos, pending, g_1, ..., g_n):
     the tree at the current position in f, the digits fed to the inner
-    trees and not yet read (None until a digit is fed, then pending[k] is
-    g_k's queues, see `_advance`), and the inner trees, each a node of an
-    unfed tree.  f-writes are emitted; an f-read of input i moves g_i past
-    its pending reads: a g_i-write resolves the read, a g_i-read of input
-    j is emitted, and each successor takes g_i's branch and queues its
-    digit on input j of every other g_k.  States hash by tree identity and
-    queue contents, so a state reached along several paths expands once.
+    trees and not yet read (None until a digit is fed, then pending[k][j]
+    holds those fed to input j+1 of g_k, first first), and the inner
+    trees, each a node of an unfed tree.  f-writes are emitted; an f-read
+    of input i moves g_i past the reads its queues answer: a g_i-write
+    resolves the read, a g_i-read of input j is emitted, and each
+    successor takes g_i's branch and queues its digit on input j of every
+    other g_k.  States hash by tree identity and queue contents, so a
+    state reached along several paths expands once.  The family's parents
+    are f's and each g's, so a composition with a part that cannot recur
+    keeps only each call's integral, no read.
     """
     gs = tuple(gs)
     if len(gs) != f.arity:
@@ -300,6 +284,12 @@ def compose(f, gs):
     m = gs[0].arity
     if any(g.arity != m for g in gs):
         raise DomainError("inner trees must share one arity")
+    return _compose(f, gs, None)
+
+
+def _compose(f, gs, pending):
+    """f(g_1,...,g_n) unfolded from the state (f, pending, g_1, ..., g_n)."""
+    m = gs[0].arity
     siblings = len(gs) > 1
     unfed = (((),) * m,) * len(gs)
 
@@ -316,10 +306,13 @@ def compose(f, gs):
             if type(node) is WriteNode:
                 return WriteNode(node.digit, (node.next, pending, *cur))
             i = node.index - 1
-            if pending is None:
-                gnode = cur[i].root
-            else:
-                cur[i], gnode, qs = _advance(cur[i], pending[i])
+            gnode = cur[i].root
+            if pending is not None:  # g_i reads what its queues answer
+                qs = pending[i]
+                while type(gnode) is not WriteNode and qs[gnode.index - 1]:
+                    j = gnode.index - 1
+                    gnode = gnode.branches[qs[j][0] + 1].root
+                    qs = qs[:j] + (qs[j][1:],) + qs[j + 1 :]
                 pending = pending[:i] + (qs,) + pending[i + 1 :]
             if type(gnode) is WriteNode:
                 fpos = node.branches[gnode.digit + 1]
@@ -341,8 +334,7 @@ def compose(f, gs):
             read = ReadNode if siblings else type(gnode)
             return read(j, (sn, sz, (fpos, pp, *cur)))
 
-    parents = (f.stats,) + tuple(g.stats for g in gs)
-    return build_tree(m, step, (f, None, *gs), parents)
+    return build_tree(m, step, (f, pending, *gs), map(type, (f, *gs)))
 
 
 def check_depth(depth, what):

@@ -16,7 +16,8 @@ call's result, so a repeat call is one lookup, and, in a family whose
 states can recur (`recurs`), each read's, so a read met again, in one
 call or a later one, is not descended and finite-state folds are linear.
 A family whose states cannot recur, such as a quadratic with an x^2
-term, keeps only the results: its reads would never be met again.
+term or a composition with such a part, keeps only the results: its
+reads would never be met again.
 """
 
 from collections import namedtuple

@@ -10,7 +10,7 @@ import pytest
 from sdreal import cli
 from sdreal.cli import float_iterate, main
 from sdreal.exprdsl import MAX_NESTING
-from sdreal.rationals import Rat, parse_rat
+from sdreal.rationals import Rat, decimal_str, parse_rat
 from sdreal.sdstream import from_digits, sigma_approx
 
 from conftest import digits_from_str, within
@@ -57,6 +57,14 @@ def test_integrate_decimal_past_int_str_limit():
     # -115/2^21 is -(115 * 5^21)/10^21 exactly
     digits = f"{115 * 5**21:021d}".ljust(9000, "0")
     assert out == f"-115/2097152 (error bound 1/512)\n-0.{digits} (+-2^-9)\n"
+
+
+def test_decimal_str_whole_digits():
+    # no fractional digit: round to the nearest integer, ties away from 0
+    assert decimal_str(Rat(-7, 2), 0) == "-4"
+    assert decimal_str(Rat(5, 2), 0) == "3"
+    with pytest.raises(ValueError, match="digits must be >= 0"):
+        decimal_str(Rat(5, 2), -1)
 
 
 @pytest.mark.parametrize(

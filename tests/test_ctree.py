@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sdreal.ctree import (
     RENDER_MAX_NODES,
     CTree,
-    ExpansionStats,
     ReadNode,
     WriteNode,
     apply,
@@ -158,6 +157,14 @@ def test_compose_identity_laws():
         assert within(eval_at(idf, q, 16), want, 16)
 
 
+def test_compose_arity_errors():
+    with pytest.raises(DomainError, match="zero inner trees"):
+        compose(constant_tree(Z, arity=0), ())
+    f = lin_tree([Rat(1, 4), Rat(1, 4)], 0)
+    with pytest.raises(DomainError, match="share one arity"):
+        compose(f, (identity_tree(), f))
+
+
 def test_compose_logistic_twice():
     t = compose(logistic_tree(2), (logistic_tree(2),))
     got = eval_at(t, Rat(7, 10), 20)
@@ -202,27 +209,23 @@ def test_compose_binary_outer():
 class Thunk:
     # a tree whose node a closure computes on first demand; it has no
     # memo, so the reference rules below make one per visit to a state
-    __slots__ = ("_node", "_make", "arity", "stats")
+    __slots__ = ("_node", "_make", "arity")
 
-    def __init__(self, make, arity, stats):
+    def __init__(self, make, arity):
         self._node = None
         self._make = make
         self.arity = arity
-        self.stats = stats
 
     @property
     def root(self):
         if self._node is None:
             self._node = self._make()
-            self.stats.count += 1
         return self._node
 
 
 def feed_unshared(t, i, d):
     # reference rule for feed_digit: one fed digit per tree and no memo;
     # where t reads input i, the node is the one the digit selects
-    stats = ExpansionStats((t.stats,))
-
     def expand(sub):
         node = sub.root
         if isinstance(node, WriteNode):
@@ -232,7 +235,7 @@ def feed_unshared(t, i, d):
         return ReadNode(node.index, tuple(fed(b) for b in node.branches))
 
     def fed(sub):
-        return Thunk(lambda: expand(sub), t.arity, stats)
+        return Thunk(lambda: expand(sub), t.arity)
 
     return fed(t)
 
@@ -243,10 +246,9 @@ def compose_unshared(f, gs):
     # fpos is a tree or, after an f-read, the read node itself
     gs = tuple(gs)
     m = gs[0].arity
-    stats = ExpansionStats(parents=(f.stats,) + tuple(g.stats for g in gs))
 
     def comp(fpos, cur):
-        return Thunk(lambda: expand(fpos, cur), m, stats)
+        return Thunk(lambda: expand(fpos, cur), m)
 
     def expand(fpos, cur):
         node = fpos if isinstance(fpos, (WriteNode, ReadNode)) else fpos.root
@@ -424,26 +426,58 @@ def test_work_pinned(case):
     assert expansion_count(t) == expansions
 
 
+def counted_root(monkeypatch):
+    # counts every expansion in the process through CTree.root, the one unfold
+    expansions = [0]
+    plain = CTree.root
+
+    def root(self):
+        if not self.expanded:
+            expansions[0] += 1
+        return plain.fget(self)
+
+    monkeypatch.setattr(CTree, "root", property(root))
+    return expansions
+
+
 def test_expansion_count_nary_compose(monkeypatch):
     # a binary outer tree's composition keeps the digits fed to an inner
     # tree in its own state, so every expansion goes through CTree.root,
     # the one unfold, and the counter wrapped around it sees them all
-    expansions = [0]
-
-    def counted(plain):
-        def root(self):
-            if not self.expanded:
-                expansions[0] += 1
-            return plain.fget(self)
-
-        return property(root)
-
-    monkeypatch.setattr(CTree, "root", counted(CTree.root))
+    expansions = counted_root(monkeypatch)
     f = lin_tree([Rat(1, 2), Rat(1, 2)], 0)
     gs = (lin_tree([Rat(1, 3)], Rat(1, 5)), lin_tree([Rat(-2, 5)], Rat(1, 7)))
     t = compose(f, gs)
     eval_at(t, Rat(7, 10), 30)
     assert expansion_count(t) == expansions[0] > 0
+
+
+def shared_inner():
+    g = logistic_tree(Rat(19, 10))
+    return compose(lin_tree([Rat(1, 2), Rat(1, 2)], 0), (g, g))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [shared_inner, lambda: to_tree(parse("pow(logistic(2),3)"))],
+    ids=["g_twice", "pow_3"],
+)
+def test_expansion_count_counts_a_shared_family_once(make, monkeypatch):
+    # the family graph reaches one inner family along several edges, and
+    # expansion_count adds its expansions once
+    expansions = counted_root(monkeypatch)
+    t = make()
+    eval_at(t, Rat(7, 10), 30)
+    assert expansion_count(t) == expansions[0] > 0
+
+
+def test_expansion_count_of_a_fed_tree(monkeypatch):
+    # a fed tree is the identity composed with t; the identity's one family
+    # is shared by every fed tree in the process, at most 4 expansions
+    expansions = counted_root(monkeypatch)
+    t = feed_digit(feed_digit(logistic_tree(Rat(3, 2)), 1, N), 1, P)
+    eval_at(t, Rat(1, 3), 30)
+    assert 0 < expansions[0] <= expansion_count(t) <= expansions[0] + 4
 
 
 def test_apply_binary():

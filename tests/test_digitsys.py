@@ -186,6 +186,11 @@ def test_lin_tree_domain_error():
         lin_tree([Rat(1, 2)], Rat(2, 3))
 
 
+def test_lin_tree_needs_a_coefficient():
+    with pytest.raises(DomainError, match="at least one coefficient"):
+        lin_tree([], 0)
+
+
 def test_lin_tree_vs_oracle_grid():
     cases = [
         (Rat(1, 2), Rat(1, 4)),

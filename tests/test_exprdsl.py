@@ -80,6 +80,15 @@ def test_syntax_error_position():
     assert err.value.position == 9
 
 
+@pytest.mark.parametrize(
+    "text, position", [("1", 1), (")", 1), ("lin(1/2,0) o", 13)]
+)
+def test_expected_a_function(text, position):
+    with pytest.raises(ParseError, match="^expected a function") as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_error_cases():
     with pytest.raises(ParseError):
         parse("frob(1)")

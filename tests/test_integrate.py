@@ -301,6 +301,51 @@ def test_tree_from_modulus_fold_keeps_no_read():
     assert [len(d) for d in type(t).folds] == [0] * 10 + [1]
 
 
+def comp(f, g):
+    return to_tree(Comp(f, g))
+
+
+QUAD = Quad(Rat(1, 2), Rat(1, 4), 0)
+
+# (make, k, whether every family the tree derives from can recur)
+POLICY_CASES = {
+    "lin o quad": (lambda: comp(Lin(Rat(1, 2), Rat(1, 2)), QUAD), 12, False),
+    "quad o lin": (lambda: comp(QUAD, Lin(Rat(1, 2), Rat(1, 4))), 12, False),
+    "quad o quad": (lambda: comp(Quad(Rat(1, 2), 0, Rat(-1, 4)), QUAD), 11, False),
+    "lin o logistic": (lambda: comp(Lin(Rat(1, 2), Rat(1, 2)), Logistic(2)), 12, False),
+    "pow logistic": (lambda: to_tree(Pow(Logistic(Rat(19, 10)), 3)), 8, False),
+    "fed logistic": (lambda: feed_digit(logistic_tree(Rat(3, 2)), 1, N), 12, False),
+    "lin o lin": (lambda: comp(Lin(Rat(1, 2), 0), Lin(Rat(3, 4), Rat(1, 8))), 20, True),
+    "pow lin": (lambda: to_tree(Pow(Lin(Rat(1, 2), Rat(1, 4)), 3)), 16, True),
+    "nary lin": (
+        lambda: compose(
+            lin_tree([Rat(1, 2), Rat(1, 2)], 0),
+            (lin_tree([Rat(1, 3)], Rat(1, 5)), lin_tree([Rat(-2, 5)], Rat(1, 7))),
+        ),
+        14,
+        True,
+    ),
+    "fed lin": (lambda: feed_digit(lin_tree([Rat(3, 4)], Rat(1, 8)), 1, P), 20, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_CASES))
+def test_composition_inherits_fold_policy(case):
+    # a composition recurs only if all its parts do; where one cannot, its
+    # reads never meet again, so keeping them would change nothing
+    make, k, recurs = POLICY_CASES[case]
+    t = make()
+    forced = make()
+    type(forced).recurs = True
+    assert type(t).recurs is recurs
+    assert integral(t, k) == integral(forced, k)
+    kept = sum(map(len, type(t).folds))
+    if recurs:
+        assert kept == sum(map(len, type(forced).folds)) > 1
+    else:
+        assert kept == 1
+
+
 @st.composite
 def integrands(draw):
     # quads, lins and unary compositions of the two
